@@ -30,7 +30,12 @@ from .refine import (
 
 __all__ = ["main", "run", "write_node", "write_ele", "mesh_to_svg", "run_report"]
 
-_FAMILY_CHOICES = ("pav", "pinwheel", "example2", "example2-opt")
+_FAMILIES = {
+    "pav": generators.PAV,
+    "pinwheel": generators.PINWHEEL,
+    "example2": generators.EXAMPLE2,
+    "example2-opt": generators.EXAMPLE2_OPT,
+}
 _SCAN_TARGETS = ("pav", "pinwheel3", "pinwheel4", "pinwheel5", "example2-opt")
 
 
@@ -143,7 +148,6 @@ def run_report(outcome: RefinementOutcome, source: dict,
             "max_insertions": outcome.config.max_insertions,
             "min_length_ratio": outcome.config.min_length_ratio,
             "closed_diametral": outcome.config.closed_diametral,
-            "queue_policy": outcome.config.queue_policy,
         },
         "status": outcome.status,
         "insertions": outcome.insertions,
@@ -163,37 +167,28 @@ def _load_pslg(path: str) -> Pslg:
 
 
 def _scan_target(name_or_path: str, delta: float):
-    if name_or_path in _SCAN_TARGETS:
-        if name_or_path == "pav":
-            return generators.ExampleConfig(family=generators.PAV, delta=delta)
-        if name_or_path.startswith("pinwheel"):
-            return generators.ExampleConfig(
-                family=generators.PINWHEEL, n=int(name_or_path[-1])
-            )
+    if name_or_path not in _SCAN_TARGETS:
+        return _load_pslg(name_or_path)
+    if name_or_path.startswith("pinwheel"):
         return generators.ExampleConfig(
-            family=generators.EXAMPLE2_OPT, delta=delta
+            family=generators.PINWHEEL, n=int(name_or_path[-1])
         )
-    return _load_pslg(name_or_path)
+    return generators.ExampleConfig(family=_FAMILIES[name_or_path], delta=delta)
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "pav":
-        p = generators.pav(args.delta, args.scale)
-        family = generators.PAV
-    elif args.family == "pinwheel":
-        p = generators.pinwheel(args.n, args.scale)
-        family = generators.PINWHEEL
-    elif args.family == "example2":
-        p = generators.example2(args.theta, args.a, args.delta, args.scale)
-        family = generators.EXAMPLE2
-    else:
+    family = _FAMILIES[args.family]
+    cfg = generators.ExampleConfig(
+        family=family, n=args.n, delta=args.delta, theta_deg=args.theta,
+        a=args.a, enclosure_scale=args.scale,
+    )
+    if family == generators.EXAMPLE2_OPT:
         opt = analysis.solve_optimum()
-        p = generators.example2(opt.theta_deg, opt.a, args.delta, args.scale)
-        family = generators.EXAMPLE2_OPT
         print(
             f"solved balance point: theta = {opt.theta_deg:.4f} deg, "
             f"a = {opt.a:.6f}, alpha = {opt.alpha1_deg:.4f} deg"
         )
+    p = generators.build_example(cfg)
     Path(args.out).write_text(write_poly(p))
     skinny = generators.predicted_skinny_angle_deg(p, family, args.n)
     # the last four vertices/segments are the enclosure square; the
@@ -281,7 +276,7 @@ def _build_parser() -> _Parser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a configuration as a .poly file")
-    g.add_argument("family", choices=_FAMILY_CHOICES)
+    g.add_argument("family", choices=tuple(_FAMILIES))
     g.add_argument("--n", type=int, default=4, help="pinwheel segment count")
     g.add_argument("--delta", type=float, default=0.0, help="perturbation size")
     g.add_argument("--theta", type=float, default=75.0, help="example2 angle (deg)")

@@ -68,7 +68,7 @@ class ExampleConfig:
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if self.enclosure_scale < 3:
-            raise ValueError("enclosure_scale must be at least 3")
+            raise ValueError("enclosure scale must be at least 3")
 
 
 def _unit(angle_deg: float) -> tuple[float, float]:

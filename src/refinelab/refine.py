@@ -5,7 +5,10 @@ how a skinny triangle's circumcenter is rejected:
 
 * the conforming engine (``ruppert``) first splits every subsegment that
   an existing vertex encroaches, and rejects a candidate circumcenter
-  whenever it falls inside any subsegment's diametral circle;
+  whenever it falls inside any subsegment's diametral circle.  It needs
+  no visibility test: skinny triangles wait until no subsegment is
+  encroached, and then a circumcenter hidden behind a subsegment lies in
+  its diametral circle (Ruppert's lemma; Shewchuk 2002);
 * the constrained engine (``chew2``) never maintains conforming
   subsegments; a circumcenter is rejected only when a subsegment blocks
   the straight path from its triangle, in which case the blocking
@@ -70,7 +73,6 @@ class RefinementConfig:
     max_insertions: int = 10000
     min_length_ratio: float = 2.0 ** -12
     closed_diametral: bool = False
-    queue_policy: str = "worst_first"
 
     def __post_init__(self):
         if not 0.0 < self.alpha_deg < 60.0:
@@ -79,8 +81,6 @@ class RefinementConfig:
             raise ValueError("max_insertions must be at least 1")
         if not 0.0 < self.min_length_ratio < 1.0:
             raise ValueError("min_length_ratio must lie in (0, 1)")
-        if self.queue_policy not in ("worst_first", "fifo"):
-            raise ValueError("queue_policy must be 'worst_first' or 'fifo'")
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,56 @@ class RefinementOutcome:
     algorithm: str
 
 
+def encroached_subsegs(tri: Triangulation, p: Point, closed: bool):
+    """Yield, in ``tri.subsegments`` order, each subsegment whose
+    diametral circle holds p; one with an endpoint at p is skipped."""
+    px, py = p
+    pts = tri.points
+    for key, rec in tri.subsegments.items():
+        a = pts[key[0]]
+        b = pts[key[1]]
+        # cheap reject: outside the diametral disk's padded bounding box
+        r = rec.length * 0.5000005
+        dx = px - (a[0] + b[0]) * 0.5
+        if dx > r or -dx > r:
+            continue
+        dy = py - (a[1] + b[1]) * 0.5
+        if dy > r or -dy > r:
+            continue
+        if (px == a[0] and py == a[1]) or (px == b[0] and py == b[1]):
+            continue
+        if encroaches(p, a, b, closed=closed):
+            yield key
+
+
+def encroaching_vertices(tri: Triangulation, key: tuple[int, int],
+                         closed: bool):
+    """Yield, in vertex-id order, each alive vertex other than key's
+    endpoints (skipped by coordinates: no two alive vertices coincide)
+    that lies in key's diametral circle."""
+    pts = tri.points
+    alive = tri.alive
+    a = pts[key[0]]
+    b = pts[key[1]]
+    mx = (a[0] + b[0]) * 0.5
+    my = (a[1] + b[1]) * 0.5
+    r = tri.subsegments[key].length * 0.5000005
+    for vid in range(len(pts)):
+        if not alive[vid]:
+            continue
+        px, py = p = pts[vid]
+        dx = px - mx
+        if dx > r or -dx > r:
+            continue
+        dy = py - my
+        if dy > r or -dy > r:
+            continue
+        if (px == a[0] and py == a[1]) or (px == b[0] and py == b[1]):
+            continue
+        if encroaches(p, a, b, closed=closed):
+            yield vid
+
+
 class _Run:
     def __init__(self, pslg: Pslg, cfg: RefinementConfig, algorithm: str):
         self.cfg = cfg
@@ -180,8 +230,7 @@ class _Run:
     def _consider_triangle(self, tid: int) -> None:
         ma = self.tri.min_angle(tid)
         if ma < self.cfg.alpha_deg:
-            key = 0.0 if self.cfg.queue_policy == "fifo" else ma
-            heapq.heappush(self._heap, (key, self._hseq, tid))
+            heapq.heappush(self._heap, (ma, self._hseq, tid))
             self._hseq += 1
 
     def _pop_skinny(self) -> Optional[int]:
@@ -198,50 +247,15 @@ class _Run:
 
     def _scan_new_vertex(self, vid: int) -> None:
         """Queue every subsegment the fresh vertex encroaches (rule 1)."""
-        pts = self.tri.points
-        px, py = pts[vid]
-        closed = self.cfg.closed_diametral
-        for key, rec in self.tri.subsegments.items():
-            u, v = key
-            if u == vid or v == vid:
-                continue
-            a = pts[u]
-            b = pts[v]
-            # cheap reject: outside the diametral disk's padded bounding box
-            r = rec.length * 0.5000005
-            dx = px - (a[0] + b[0]) * 0.5
-            if dx > r or -dx > r:
-                continue
-            dy = py - (a[1] + b[1]) * 0.5
-            if dy > r or -dy > r:
-                continue
-            if encroaches(pts[vid], a, b, closed=closed):
-                self._queue_subseg(key)
+        p = self.tri.points[vid]
+        for key in encroached_subsegs(self.tri, p, self.cfg.closed_diametral):
+            self._queue_subseg(key)
 
     def _scan_new_subseg(self, key: tuple[int, int]) -> None:
         """Queue the new subsegment if any existing vertex encroaches it."""
-        pts = self.tri.points
-        u, v = key
-        a = pts[u]
-        b = pts[v]
-        mx = (a[0] + b[0]) * 0.5
-        my = (a[1] + b[1]) * 0.5
-        r = self.tri.subsegments[key].length * 0.5000005
         closed = self.cfg.closed_diametral
-        alive = self.tri.alive
-        for vid in range(len(pts)):
-            if not alive[vid] or vid == u or vid == v:
-                continue
-            px, py = pts[vid]
-            dx = px - mx
-            if dx > r or -dx > r:
-                continue
-            dy = py - my
-            if dy > r or -dy > r:
-                continue
-            if encroaches(pts[vid], a, b, closed=closed):
-                self._queue_subseg(key)
-                return
+        if next(encroaching_vertices(self.tri, key, closed), None) is not None:
+            self._queue_subseg(key)
 
     # -- events ---------------------------------------------------------------
 
@@ -324,30 +338,7 @@ class _Run:
         ma = self.tri.min_angle(tid)
         c = circumcenter(pa, pb, pc)
         closed = self.cfg.closed_diametral
-        encroached = []
-        pts = self.tri.points
-        cx, cy = c
-        for key, rec in self.tri.subsegments.items():
-            a = pts[key[0]]
-            b = pts[key[1]]
-            r = rec.length * 0.5000005
-            dx = cx - (a[0] + b[0]) * 0.5
-            if dx > r or -dx > r:
-                continue
-            dy = cy - (a[1] + b[1]) * 0.5
-            if dy > r or -dy > r:
-                continue
-            if (cx == a[0] and cy == a[1]) or (cx == b[0] and cy == b[1]):
-                continue
-            if encroaches(c, a, b, closed=closed):
-                encroached.append(key)
-        if not encroached:
-            g = Point(
-                (pa.x + pb.x + pc.x) / 3.0, (pa.y + pb.y + pc.y) / 3.0
-            )
-            blocked = self.tri.first_constraint_crossing(g, c)
-            if blocked is not None:
-                encroached = [blocked]
+        encroached = list(encroached_subsegs(self.tri, c, closed))
         if encroached:
             self._emit(
                 CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
@@ -394,27 +385,10 @@ class _Run:
             x=c.x,
             y=c.y,
         )
-        pts = self.tri.points
-        a = pts[blocked[0]]
-        b = pts[blocked[1]]
-        mx = (a[0] + b[0]) * 0.5
-        my = (a[1] + b[1]) * 0.5
-        r = rec.length * 0.5000005
-        doomed = []
-        for vid in range(len(pts)):
-            if not self.tri.alive[vid] or self.tri.tags[vid] != CIRCUMCENTER:
-                continue
-            if vid in blocked:
-                continue
-            px, py = pts[vid]
-            dx = px - mx
-            if dx > r or -dx > r:
-                continue
-            dy = py - my
-            if dy > r or -dy > r:
-                continue
-            if encroaches(pts[vid], a, b, closed=True):
-                doomed.append(vid)
+        doomed = [
+            vid for vid in encroaching_vertices(self.tri, blocked, closed=True)
+            if self.tri.tags[vid] == CIRCUMCENTER
+        ]
         for vid in doomed:
             p = self.tri.points[vid]
             res = self.tri.delete_vertex(vid)
@@ -447,17 +421,11 @@ def audit(outcome: RefinementOutcome, cfg: Optional[RefinementConfig] = None
     tri = outcome.triangulation
 
     if outcome.status == TERMINATED and outcome.algorithm == RUPPERT:
-        closed = cfg.closed_diametral
         for key in tri.subsegments:
-            a = tri.points[key[0]]
-            b = tri.points[key[1]]
-            for vid in range(len(tri.points)):
-                if not tri.alive[vid] or vid in key:
-                    continue
-                if encroaches(tri.points[vid], a, b, closed=closed):
-                    problems.append(
-                        f"terminated with vertex {vid} encroaching subsegment {key}"
-                    )
+            for vid in encroaching_vertices(tri, key, cfg.closed_diametral):
+                problems.append(
+                    f"terminated with vertex {vid} encroaching subsegment {key}"
+                )
     if outcome.status == TERMINATED:
         for tid in tri.triangles:
             ma = tri.min_angle(tid)

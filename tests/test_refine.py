@@ -66,8 +66,6 @@ class TestBasics:
             RefinementConfig(alpha_deg=20, max_insertions=0)
         with pytest.raises(ValueError):
             RefinementConfig(alpha_deg=20, min_length_ratio=1.5)
-        with pytest.raises(ValueError):
-            RefinementConfig(alpha_deg=20, queue_policy="nope")
 
 
 @pytest.fixture(scope="module")
