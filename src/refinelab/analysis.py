@@ -247,32 +247,33 @@ def cascade_splits(outcome: RefinementOutcome):
     return records
 
 
-def classify(outcome: RefinementOutcome, window: int = 12,
-             ratio_tol: float = 0.01) -> DivergenceVerdict:
+_WINDOW = 12  # classify judges the last _WINDOW + 1 record splits
+_RATIO_TOL = 0.01  # relative tolerance on each per-revolution halving
+
+
+def classify(outcome: RefinementOutcome) -> DivergenceVerdict:
     """Judge a refinement trace: terminated, geometric cascade, or neither.
 
-    A DIVERGING verdict needs at least eight trailing record splits
+    A DIVERGING verdict needs at least nine trailing record splits
     whose lineages repeat with a fixed period and whose lengths halve
-    within ``ratio_tol`` per revolution.  The reported decay ratio is
-    the fitted per-event geometric ratio of the record tail.
+    within 1 % per revolution.  The reported decay ratio is the fitted
+    per-event geometric ratio of the record tail.
     """
     if outcome.status == TERMINATED:
         return DivergenceVerdict(status=TERMINATED_V)
     records = cascade_splits(outcome)
     if len(records) < 9:
         return DivergenceVerdict(status=INCONCLUSIVE)
-    tail = records[-(window + 1):]
+    tail = records[-(_WINDOW + 1):]
     lineages = [e.lineage for e in tail]
     period = _detect_cycle(lineages)
     if period is None:
         return DivergenceVerdict(status=INCONCLUSIVE)
     lengths = [e.length for e in tail]
     usable = len(lengths)
-    if usable < 8:
-        return DivergenceVerdict(status=INCONCLUSIVE)
     for i in range(usable - period):
         per_rev = lengths[i + period] / lengths[i]
-        if abs(per_rev - 0.5) > ratio_tol * 0.5:
+        if abs(per_rev - 0.5) > _RATIO_TOL * 0.5:
             return DivergenceVerdict(status=INCONCLUSIVE)
     fitted = (lengths[-1] / lengths[0]) ** (1.0 / (usable - 1))
     cycle = tuple(lineages[-period:])
