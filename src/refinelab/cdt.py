@@ -344,8 +344,9 @@ class Triangulation:
             pp, pq = self.points[p], self.points[q]
             o_p = orient_sign(pu[0], pu[1], pv[0], pv[1], pp[0], pp[1])
             o_q = orient_sign(pu[0], pu[1], pv[0], pv[1], pq[0], pq[1])
-            if o_p > 0 and o_q < 0:
-                entry = (tid, p, q)
+            # u->v leaves the triangle between q on its left and p on its right
+            if o_p < 0 and o_q > 0:
+                entry = (tid, q, p)
                 break
         if entry is None:
             raise TriangulationError(

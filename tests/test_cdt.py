@@ -87,13 +87,18 @@ class TestBuild:
         with pytest.raises(InvalidPslgError):
             Triangulation.build(bad)
 
-    def test_crossing_constraint_recovered(self):
-        # diagonal constraint forces an edge the Delaunay may not contain
+    @pytest.mark.parametrize("extra", [
+        # a segment that is already a Delaunay edge
+        (Point(2.0, 1.2), Point(2.0, 2.8)),
+        # a segment the Delaunay triangulation of its endpoints and the two
+        # free vertices does not contain: it must be routed through the fan
+        (Point(0.5, 2.0), Point(3.5, 2.0), Point(2.0, 2.3), Point(2.0, 1.7)),
+    ])
+    def test_crossing_constraint_recovered(self, extra):
         p = Pslg(
             vertices=(
                 Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4),
-                Point(2.0, 1.2), Point(2.0, 2.8),
-            ),
+            ) + extra,
             segments=(
                 Segment(0, 1), Segment(1, 2), Segment(2, 3), Segment(3, 0),
                 Segment(4, 5),
