@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from refinelab.geom import Point
+from refinelab.cdt import CIRCUMCENTER
+from refinelab.geom import Point, encroaches
 from refinelab.pslg import Pslg, Segment
 from refinelab.generators import example2, pav, pinwheel
 from refinelab.refine import (
@@ -240,6 +241,32 @@ class TestTraceAndAudit:
         problems = audit(out)
         assert len(problems) == 1
         assert "halving" in problems[0]
+
+    def test_audit_flags_encroaching_vertex(self):
+        out = ruppert(square_pslg(), RefinementConfig(alpha_deg=20))
+        tri = out.triangulation
+        u, v = min(tri.subsegments)
+        rec = tri.subsegments[(u, v)]
+        a, b = tri.points[u], tri.points[v]
+        # inside the subsegment's diametral circle, a quarter of its length
+        # from the midpoint towards the square's centre
+        mx, my = (a.x + b.x) / 2, (a.y + b.y) / 2
+        d = math.hypot(2.0 - mx, 2.0 - my)
+        p = Point(mx + 0.25 * rec.length * (2.0 - mx) / d,
+                  my + 0.25 * rec.length * (2.0 - my) / d)
+        vid = tri.insert_vertex(p, CIRCUMCENTER).vertex
+        # brute force: every alive vertex against every subsegment
+        expected = [
+            f"terminated with vertex {w} encroaching subsegment {key}"
+            for key in tri.subsegments
+            for w in range(len(tri.points))
+            if tri.alive[w] and w not in key
+            and encroaches(tri.points[w], tri.points[key[0]],
+                           tri.points[key[1]])
+        ]
+        got = [m for m in audit(out) if "encroaching" in m]
+        assert got == expected
+        assert any(f"vertex {vid} " in m for m in got)
 
     def test_audit_verifies_cascade_lengths_from_geometry(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31))
