@@ -175,19 +175,21 @@ def encroached_subsegs(tri: Triangulation, p: Point, closed: bool):
 
 
 def encroaching_vertices(tri: Triangulation, key: tuple[int, int],
-                         closed: bool):
-    """Yield, in vertex-id order, each alive vertex other than key's
-    endpoints (skipped by coordinates: no two alive vertices coincide)
-    that lies in key's diametral circle."""
+                         closed: bool, tag: Optional[str] = None):
+    """Yield, in vertex-id order, each alive vertex (with the given tag, if
+    one is given) other than key's endpoints that lies in key's diametral
+    circle.  Endpoints are skipped by coordinates: no two alive vertices
+    coincide."""
     pts = tri.points
     alive = tri.alive
+    tags = tri.tags
     a = pts[key[0]]
     b = pts[key[1]]
     mx = (a[0] + b[0]) * 0.5
     my = (a[1] + b[1]) * 0.5
     r = tri.subsegments[key].length * 0.5000005
     for vid in range(len(pts)):
-        if not alive[vid]:
+        if not alive[vid] or (tag is not None and tags[vid] != tag):
             continue
         px, py = p = pts[vid]
         dx = px - mx
@@ -385,10 +387,9 @@ class _Run:
             x=c.x,
             y=c.y,
         )
-        doomed = [
-            vid for vid in encroaching_vertices(self.tri, blocked, closed=True)
-            if self.tri.tags[vid] == CIRCUMCENTER
-        ]
+        doomed = list(
+            encroaching_vertices(self.tri, blocked, True, CIRCUMCENTER)
+        )
         for vid in doomed:
             p = self.tri.points[vid]
             res = self.tri.delete_vertex(vid)
