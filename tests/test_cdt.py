@@ -93,7 +93,7 @@ class TestBuild:
         # a segment the Delaunay triangulation of its endpoints and the two
         # free vertices does not contain: it must be routed through the fan
         (Point(0.5, 2.0), Point(3.5, 2.0), Point(2.0, 2.3), Point(2.0, 1.7)),
-    ])
+    ], ids=["delaunay-edge", "crossing-edges"])
     def test_crossing_constraint_recovered(self, extra):
         p = Pslg(
             vertices=(
