@@ -1,18 +1,27 @@
-"""Golden trace digests: the engines' traces must stay byte-identical.
+"""Golden digests: the engines' traces and the meshes must stay byte-identical.
 
-Each entry is the SHA-256 of ``outcome.trace.to_jsonl()`` for one family,
-engine, minimum angle and diametral-circle mode, with the insertion budget
-capped at 2000.  A refactor of the engines or of the triangulation that is
+Each ``GOLDEN`` entry is the SHA-256 of ``outcome.trace.to_jsonl()`` for
+one family, engine, minimum angle and diametral-circle mode, with the
+insertion budget capped at 2000.  Each ``GOLDEN_MESH`` entry is the SHA-256
+of the points, the triangles with their ids and the subsegments of one
+triangulation: ``Triangulation.build`` on inputs with a hole and with
+constraints that must be routed through the mesh, and the final meshes of
+both engines.  The traces pin neither hole carving, constraint routing nor
+triangle ids.  A refactor of the engines or of the triangulation that is
 meant to change no behaviour must leave every digest unchanged; a change
 that alters behaviour on purpose re-records the table and says why.
 """
 
 import functools
 import hashlib
+import random
 
 import pytest
 
 from refinelab import generators
+from refinelab.cdt import Triangulation
+from refinelab.geom import Point
+from refinelab.pslg import Pslg, Segment
 from refinelab.refine import RefinementConfig, chew2, ruppert
 
 FAMILIES = {
@@ -216,3 +225,142 @@ def test_trace_digest(family, engine, alpha, closed):
     outcome = ENGINES[engine](_pslg(family), cfg)
     digest = hashlib.sha256(outcome.trace.to_jsonl().encode()).hexdigest()
     assert digest == GOLDEN[(family, engine, alpha, closed)]
+
+
+_SQUARE = (Segment(0, 1), Segment(1, 2), Segment(2, 3), Segment(3, 0))
+
+
+def _hole_input():
+    return Pslg(
+        vertices=(
+            Point(0, 0), Point(6, 0), Point(6, 6), Point(0, 6),
+            Point(2, 2), Point(4, 2), Point(4, 4), Point(2, 4),
+        ),
+        segments=_SQUARE + (
+            Segment(4, 5), Segment(5, 6), Segment(6, 7), Segment(7, 4),
+        ),
+        holes=(Point(3, 3),),
+    )
+
+
+def _crossing_input():
+    # the segment 4-5 is not an edge of the Delaunay triangulation
+    return Pslg(
+        vertices=(
+            Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4),
+            Point(0.5, 2.0), Point(3.5, 2.0), Point(2.0, 2.3), Point(2.0, 1.7),
+        ),
+        segments=_SQUARE + (Segment(4, 5),),
+    )
+
+
+def _square_input(seed):
+    """The 4x4 square, 4-8 free vertices and one segment between the
+    first two; seeds 0, 1, 3, 6, 7, 9, 11 and 18 give a segment that is
+    not a Delaunay edge and has to be routed through the mesh."""
+    rng = random.Random(seed)
+    pts = [Point(0.0, 0.0), Point(4.0, 0.0), Point(4.0, 4.0), Point(0.0, 4.0)]
+    n = rng.randint(4, 8)
+    while len(pts) < 4 + n:
+        p = Point(round(rng.uniform(0.25, 3.75), 2),
+                  round(rng.uniform(0.25, 3.75), 2))
+        if p not in pts:
+            pts.append(p)
+    return Pslg(tuple(pts), _SQUARE + (Segment(4, 5),))
+
+
+def _refined(engine, family):
+    cfg = RefinementConfig(alpha_deg=25, max_insertions=2000)
+    return ENGINES[engine](_pslg(family), cfg).triangulation
+
+
+def _built(make, *args):
+    return Triangulation.build(make(*args))
+
+
+MESHES = {
+    "build:hole": functools.partial(_built, _hole_input),
+    "build:crossing": functools.partial(_built, _crossing_input),
+    **{
+        f"build:square{seed}": functools.partial(_built, _square_input, seed)
+        for seed in range(20)
+    },
+    **{
+        f"{engine}:{family}@25": functools.partial(_refined, engine, family)
+        for engine in ENGINES for family in ("pinwheel4", "pav(1e-3)")
+    },
+}
+
+# mesh name -> digest of (points, triangles by id, subsegments)
+GOLDEN_MESH = {
+    "build:hole":
+        "a32b08cb92228f139c81aa74dd8243d8024a636ea35d9a92b740ed536ff5f815",
+    "build:crossing":
+        "4f1b350a3d74f277d960763a54ebd54c3653f750328f6e4057dd24a628ba1a10",
+    "build:square0":
+        "db052c4c8953e8d2e52e6a160ae21839aa339e7884a1c2c6f4fadac9acdfae36",
+    "build:square1":
+        "d9850c52ff18761340257983b474c1498123a436122c4133ee8ce978d812aa2e",
+    "build:square2":
+        "df17069efd04c2748a7271f60b09490ce2daa7d3a98634bde89da1b50d8398ef",
+    "build:square3":
+        "91beacc2fdd3381a025b8fe5afea901791a1436f259a7499b9a663edb43a67f3",
+    "build:square4":
+        "be2679dc28cc76d8d2c36aa8e75862f689cf9c055d35554d6c4cead6016c6376",
+    "build:square5":
+        "30389025fa199326851ddf4c2ff38ab2ab3c0475d7cd72ac22c341a47729bd99",
+    "build:square6":
+        "df8fe2f0bd479f5893178d25dfadf9864e6c45f59e13c0e7178604521faf232c",
+    "build:square7":
+        "b28a5b10c637f47250b9388ca3fe87c5217eb70d4247808950eef7c9b75a90dc",
+    "build:square8":
+        "180e2d074731aa0874d21b93c83b93cec04edca1ba9aefcaab80d8723fb3a619",
+    "build:square9":
+        "f363284b7f272b3faf2ffbaaaf932d16d0fa1164cbb24449ae35dbd1a949ba4d",
+    "build:square10":
+        "b629730c025540e483ae0242ab5b7c252987fe832c1940f912a5fb3976f42b2a",
+    "build:square11":
+        "14874ea6826fa4e8f5bbe361ca3dd7f1e3f1d26f4c145af9026186b338a28a10",
+    "build:square12":
+        "4cf7fc5a028028c7ee6deaf7cb5bb08180862f3bb0d7d5095c169152fca0d63f",
+    "build:square13":
+        "3a4e3638501c3a08b253ab06014b648f9f91310666f8f1189432e02872cdfdcd",
+    "build:square14":
+        "24473646801fa83df249ce6d151ce1958229bd60711bd8684f91dd716f2e3716",
+    "build:square15":
+        "6b8a329c2ae5887252e45a9e1f6a0f89da46d21c4979eea1f5efe1f3a3a602a3",
+    "build:square16":
+        "e59d3dd9eed9a76fc8e94835af24cfcd86dcf1067a2bf5a7aa28c80f1d2391cd",
+    "build:square17":
+        "7760ca9f853f405163fa6fc3747069ef38923b3aa575155a58b56fc45a90278f",
+    "build:square18":
+        "a7e21f7ae70f08d207fbbfe4c8b4fb8e42c24d426e12126a2de32c7760e20512",
+    "build:square19":
+        "59797f0cfed40e693d31f01de61875a0ab66d27cd76e8dac52ff438f67b3dbb9",
+    "ruppert:pinwheel4@25":
+        "c57d0a4474c632b3ff3805963c61e3ee7dbe520682086b288b9eba65ff6d3771",
+    "ruppert:pav(1e-3)@25":
+        "3a2bc0f8f9ff141599ac8f14125b620b62a5d018053dac10c7ab24a4944b610e",
+    "chew2:pinwheel4@25":
+        "0cd99e894ebf65b44391fb869fab4a210ed13563b7ae9d9966c1ce465c04a3fe",
+    "chew2:pav(1e-3)@25":
+        "71614b9cfb863d785bf13125ae5f25ad05aec1531d2ddac82166ef87e040f3c7",
+}
+
+
+def _mesh_digest(tri):
+    state = (
+        tri.points,
+        sorted(tri.triangles.items()),
+        sorted(tri.subsegments.items()),
+    )
+    return hashlib.sha256(repr(state).encode()).hexdigest()
+
+
+def test_mesh_table_is_complete():
+    assert set(GOLDEN_MESH) == set(MESHES)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_mesh_digest(name):
+    assert _mesh_digest(MESHES[name]()) == GOLDEN_MESH[name]
