@@ -4,7 +4,11 @@ The structure is triangle-based: a dict of CCW vertex triples plus an
 edge map giving the one or two triangles flanking each edge.  Constraint
 subsegments carry their input-segment lineage and an exactly-halving
 length so refinement traces can reason about split cascades without
-re-deriving geometry.
+re-deriving geometry.  A subsegment split inserts its midpoint on the
+edge it already knows, seeding the cavity with the edge's flanking
+triangles instead of locating the rounded midpoint, so the split vertex
+can never land outside the domain or leave a sliver over the old edge.
+A vertex's star is walked around it from one incident triangle.
 
 All orientation and incircle decisions go through the exact predicates
 in :mod:`refinelab.geom`; ties (cocircular quads) are left unflipped, so
@@ -133,24 +137,15 @@ class Triangulation:
         return None
 
     def _tri_of_vertex(self, v: int) -> int:
-        tid = self._v2t.get(v, -1)
-        if tid in self.triangles and v in self.triangles[tid]:
-            return tid
-        for tid, verts in self.triangles.items():
-            if v in verts:
-                self._v2t[v] = tid
-                return tid
-        raise TriangulationError(f"vertex {v} has no incident triangle")
-
-    def _rotate_to(self, tid: int, v: int) -> tuple[int, int, int]:
-        a, b, c = self.triangles[tid]
-        if a == v:
-            return (a, b, c)
-        if b == v:
-            return (b, c, a)
-        if c == v:
-            return (c, a, b)
-        raise TriangulationError(f"vertex {v} not in triangle {tid}")
+        # insertion, constraint routing and deletion refill each hole they
+        # make with a triangle at every vertex of its rim, and triangle ids
+        # are never reused, so a recorded triangle that still exists holds
+        # v; only build's final sweeps leave stale entries, on hull and
+        # hole vertices that are never looked up
+        tid = self._v2t.get(v)
+        if tid not in self.triangles:
+            raise TriangulationError(f"vertex {v} has no incident triangle")
+        return tid
 
     def triangle_points(self, tid: int):
         a, b, c = self.triangles[tid]
@@ -181,65 +176,50 @@ class Triangulation:
             steps += 1
             if steps > cap:
                 return self._locate_scan(x, y)
-            a, b, c = self.triangles[cur]
-            pa, pb, pc = self.points[a], self.points[b], self.points[c]
-            o_ab = orient_sign(pa[0], pa[1], pb[0], pb[1], x, y)
-            o_bc = orient_sign(pb[0], pb[1], pc[0], pc[1], x, y)
-            o_ca = orient_sign(pc[0], pc[1], pa[0], pa[1], x, y)
-            if o_ab < 0:
-                nxt = self._neighbor(cur, a, b)
-                if nxt is None:
-                    return ("outside", cur)
-                cur = nxt
-                continue
-            if o_bc < 0:
-                nxt = self._neighbor(cur, b, c)
-                if nxt is None:
-                    return ("outside", cur)
-                cur = nxt
-                continue
-            if o_ca < 0:
-                nxt = self._neighbor(cur, c, a)
-                if nxt is None:
-                    return ("outside", cur)
-                cur = nxt
-                continue
-            zeros = (o_ab == 0) + (o_bc == 0) + (o_ca == 0)
-            if zeros == 0:
-                return ("in", cur)
-            if zeros == 1:
-                if o_ab == 0:
-                    return ("edge", (a, b), cur)
-                if o_bc == 0:
-                    return ("edge", (b, c), cur)
-                return ("edge", (c, a), cur)
-            # two zero orientations: on a vertex
-            if o_ab == 0 and o_bc == 0:
-                return ("vertex", b)
-            if o_bc == 0 and o_ca == 0:
-                return ("vertex", c)
-            return ("vertex", a)
+            where = self._classify(cur, x, y)
+            if where[0] != "across":
+                return where
+            nxt = self._neighbor(cur, *where[1])
+            if nxt is None:
+                return ("outside", cur)
+            cur = nxt
 
     def _locate_scan(self, x: float, y: float):
-        for tid, (a, b, c) in self.triangles.items():
-            pa, pb, pc = self.points[a], self.points[b], self.points[c]
-            o_ab = orient_sign(pa[0], pa[1], pb[0], pb[1], x, y)
-            o_bc = orient_sign(pb[0], pb[1], pc[0], pc[1], x, y)
-            o_ca = orient_sign(pc[0], pc[1], pa[0], pa[1], x, y)
-            if o_ab >= 0 and o_bc >= 0 and o_ca >= 0:
-                zeros = (o_ab == 0) + (o_bc == 0) + (o_ca == 0)
-                if zeros == 0:
-                    return ("in", tid)
-                if zeros == 1:
-                    for o, e in ((o_ab, (a, b)), (o_bc, (b, c)), (o_ca, (c, a))):
-                        if o == 0:
-                            return ("edge", e, tid)
-                if o_ab == 0 and o_bc == 0:
-                    return ("vertex", b)
-                if o_bc == 0 and o_ca == 0:
-                    return ("vertex", c)
-                return ("vertex", a)
+        for tid in self.triangles:
+            where = self._classify(tid, x, y)
+            if where[0] != "across":
+                return where
         return ("outside", next(iter(self.triangles)))
+
+    def _classify(self, tid: int, x: float, y: float):
+        """Where (x, y) lies in triangle tid's closed interior, as ``locate``
+        reports it, or ('across', (u, v)) for the first edge of tid that
+        has the point strictly on its right."""
+        a, b, c = self.triangles[tid]
+        pa, pb, pc = self.points[a], self.points[b], self.points[c]
+        o_ab = orient_sign(pa[0], pa[1], pb[0], pb[1], x, y)
+        if o_ab < 0:
+            return ("across", (a, b))
+        o_bc = orient_sign(pb[0], pb[1], pc[0], pc[1], x, y)
+        if o_bc < 0:
+            return ("across", (b, c))
+        o_ca = orient_sign(pc[0], pc[1], pa[0], pa[1], x, y)
+        if o_ca < 0:
+            return ("across", (c, a))
+        if o_ab and o_bc and o_ca:
+            return ("in", tid)
+        # two zero orientations: on the vertex the two edges share
+        if not o_ab and not o_bc:
+            return ("vertex", b)
+        if not o_bc and not o_ca:
+            return ("vertex", c)
+        if not o_ca and not o_ab:
+            return ("vertex", a)
+        if not o_ab:
+            return ("edge", (a, b), tid)
+        if not o_bc:
+            return ("edge", (b, c), tid)
+        return ("edge", (c, a), tid)
 
     # -- insertion ----------------------------------------------------------
 
@@ -250,6 +230,13 @@ class Triangulation:
         p must fall strictly inside the triangulated domain and must not
         coincide with an existing vertex or lie on a constraint edge.
         """
+        seeds = self._cavity_seeds(p, start)
+        vid = self._add_vertex(p[0], p[1], tag)
+        return self._insert_in_cavity(vid, seeds)
+
+    def _cavity_seeds(self, p: Point, start: Optional[int] = None) -> list:
+        """Locate p and return the triangles whose interior holds it: one,
+        or the two flanking the non-constraint edge it lies on."""
         where = self.locate(p[0], p[1], start)
         if where[0] == "vertex":
             raise DuplicateVertexError(
@@ -258,39 +245,44 @@ class Triangulation:
         if where[0] == "outside":
             raise OutsideDomainError(f"point {tuple(p)} is outside the domain")
         if where[0] == "edge":
-            u, v = where[1]
-            if _edge_key(u, v) in self.subsegments:
+            key = _edge_key(*where[1])
+            if key in self.subsegments:
                 raise TriangulationError(
                     "point lies on a constraint edge; split the subsegment instead"
                 )
-            seeds = list(self.edge_map[_edge_key(u, v)])
-        else:
-            seeds = [where[1]]
-        vid = self._add_vertex(p[0], p[1], tag)
-        return self._insert_in_cavity(vid, seeds)
+            return list(self.edge_map[key])
+        return [where[1]]
 
-    def _insert_in_cavity(self, vid: int, seeds: list) -> InsertResult:
-        x, y = self.points[vid]
-        cavity = set(seeds)
+    def _flood(self, seeds: list, admit) -> set:
+        """The seeds plus every triangle reached from them across
+        non-constraint edges through triangles for which admit holds."""
+        region = set(seeds)
         stack = list(seeds)
         while stack:
             tid = stack.pop()
             a, b, c = self.triangles[tid]
             for u, v in ((a, b), (b, c), (c, a)):
-                key = _edge_key(u, v)
-                if key in self.subsegments:
+                if _edge_key(u, v) in self.subsegments:
                     continue
                 n = self._neighbor(tid, u, v)
-                if n is None or n in cavity:
-                    continue
-                na, nb, nc = self.triangles[n]
-                qa, qb, qc = self.points[na], self.points[nb], self.points[nc]
-                if (
-                    incircle_sign(qa[0], qa[1], qb[0], qb[1], qc[0], qc[1], x, y)
-                    > 0
-                ):
-                    cavity.add(n)
+                if n is not None and n not in region and admit(n):
+                    region.add(n)
                     stack.append(n)
+        return region
+
+    def _insert_in_cavity(self, vid: int, seeds: list,
+                          split: Optional[tuple[int, int]] = None
+                          ) -> InsertResult:
+        """Replace the Delaunay cavity of vertex vid, grown from seeds, by a
+        fan around vid.  The edge ``split``, which vid subdivides, gets no
+        triangle when it lies on the cavity boundary."""
+        x, y = self.points[vid]
+
+        def in_circumcircle(tid):
+            pa, pb, pc = self.triangle_points(tid)
+            return incircle_sign(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], x, y) > 0
+
+        cavity = self._flood(seeds, in_circumcircle)
 
         # boundary of the cavity as directed edges
         ring: dict[int, int] = {}
@@ -321,6 +313,8 @@ class Triangulation:
             self._rm_tri(tid)
         created = []
         for u, v in chain:
+            if split and _edge_key(u, v) == split:
+                continue
             pu, pv = self.points[u], self.points[v]
             o = orient_sign(x, y, pu[0], pu[1], pv[0], pv[1])
             if o == 0:
@@ -336,23 +330,26 @@ class Triangulation:
         if _edge_key(u, v) in self.edge_map:
             return
         pu, pv = self.points[u], self.points[v]
-        # find the starting triangle in u's star whose far edge the
-        # segment u->v crosses
-        entry = None
-        for tid in self._star(u):
-            w, p, q = self._rotate_to(tid, u)
-            pp, pq = self.points[p], self.points[q]
-            o_p = orient_sign(pu[0], pu[1], pv[0], pv[1], pp[0], pp[1])
-            o_q = orient_sign(pu[0], pu[1], pv[0], pv[1], pq[0], pq[1])
-            # u->v leaves the triangle between q on its left and p on its right
-            if o_p < 0 and o_q > 0:
-                entry = (tid, q, p)
+
+        def side(w):
+            pw = self.points[w]
+            return orient_sign(pu[0], pu[1], pv[0], pv[1], pw[0], pw[1])
+
+        # u->v leaves u through the star triangle (u, ring[i], ring[i + 1])
+        # that has ring[i] on its right and ring[i + 1] on its left
+        star, ring = self._star(u)
+        o_right = side(ring[0])
+        for i, tid in enumerate(star):
+            left = ring[(i + 1) % len(ring)]
+            o_left = side(left)
+            if o_right < 0 and o_left > 0:
+                right = ring[i]
                 break
-        if entry is None:
+            o_right = o_left
+        else:
             raise TriangulationError(
                 f"cannot route constraint {u}-{v}: no crossing fan triangle"
             )
-        tid, left, right = entry
         crossed = [tid]
         upper = [left]
         lower = [right]
@@ -367,8 +364,7 @@ class Triangulation:
             crossed.append(nxt)
             if far == v:
                 break
-            pf = self.points[far]
-            o = orient_sign(pu[0], pu[1], pv[0], pv[1], pf[0], pf[1])
+            o = side(far)
             if o == 0:
                 raise TriangulationError(
                     f"vertex {far} lies on constraint {u}-{v}"
@@ -382,20 +378,26 @@ class Triangulation:
                 right = far
         for t in crossed:
             self._rm_tri(t)
-        upper_poly = [v] + list(reversed(upper)) + [u]
-        lower_poly = [u] + lower + [v]
-        for tri in self._triangulate_polygon(upper_poly):
-            self._add_tri(*tri)
-        for tri in self._triangulate_polygon(lower_poly):
-            self._add_tri(*tri)
+        for poly in ([v] + upper[::-1] + [u], [u] + lower + [v]):
+            for tri in self._triangulate_polygon(poly):
+                self._add_tri(*tri)
 
-    def _star(self, v: int) -> list[int]:
-        """All triangles incident to v (unordered, deterministic)."""
-        out = []
-        for tid, verts in self.triangles.items():
-            if v in verts:
-                out.append(tid)
-        return out
+    def _star(self, v: int) -> tuple[list[int], list[int]]:
+        """The triangles around interior vertex v and their far vertices,
+        walked CCW from ``_tri_of_vertex(v)``: triangle ``star[i]`` is
+        (v, ring[i], ring[i + 1]), cyclically."""
+        tid = start = self._tri_of_vertex(v)
+        star, ring = [], []
+        while True:
+            a, b, c = self.triangles[tid]
+            p, q = (b, c) if v == a else (c, a) if v == b else (a, b)
+            star.append(tid)
+            ring.append(p)
+            tid = self._neighbor(tid, v, q)
+            if tid is None:
+                raise TriangulationError(f"vertex {v} touches the boundary")
+            if tid == start:
+                return star, ring
 
     # -- polygon retriangulation ----------------------------------------------
 
@@ -480,30 +482,24 @@ class Triangulation:
         """Split constraint subsegment (u, v) at its midpoint.
 
         Returns (midpoint vid, ((u, m), (m, v)) child keys, InsertResult).
-        Child lengths are exactly half the parent's.
+        Child lengths are exactly half the parent's.  The midpoint's
+        cavity grows from the triangles flanking (u, v), so the split
+        never depends on which side of the edge the rounded midpoint
+        falls.
         """
         key = _edge_key(u, v)
         if key not in self.subsegments:
             raise MissingSubsegmentError(f"{key} is not a current subsegment")
         rec = self.subsegments.pop(key)
         pu, pv = self.points[u], self.points[v]
-        mid = Point((pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0)
-        start = self.edge_map[key][0]
-        try:
-            res = self.insert_vertex(mid, SEGMENT_MIDPOINT, start=start)
-        except TriangulationError:
-            self.subsegments[key] = rec
-            raise
-        half = rec.length / 2.0
-        k1 = _edge_key(u, res.vertex)
-        k2 = _edge_key(res.vertex, v)
-        for k in (k1, k2):
-            if k not in self.edge_map:
-                raise TriangulationError(
-                    "midpoint insertion failed to produce child edges"
-                )
-            self.subsegments[k] = Subseg(rec.lineage, half)
-        return res.vertex, (k1, k2), res
+        mid = self._add_vertex(
+            (pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0, SEGMENT_MIDPOINT
+        )
+        res = self._insert_in_cavity(mid, list(self.edge_map[key]), split=key)
+        children = (_edge_key(u, mid), _edge_key(mid, v))
+        for k in children:
+            self.subsegments[k] = Subseg(rec.lineage, rec.length / 2.0)
+        return mid, children, res
 
     # -- vertex deletion ---------------------------------------------------------
 
@@ -513,36 +509,14 @@ class Triangulation:
             raise TriangulationError(
                 f"vertex {v} has tag {self.tags[v]}; only free vertices are deletable"
             )
-        start = self._tri_of_vertex(v)
-        _, p, q = self._rotate_to(start, v)
-        ring = [p]
-        star = [start]
-        cur = start
-        nxt_v = q
-        while True:
-            n = self._neighbor(cur, v, nxt_v)
-            if n is None:
-                raise TriangulationError(
-                    f"vertex {v} touches the boundary and cannot be deleted"
-                )
-            if n == start:
-                ring.append(nxt_v)
-                break
-            ring.append(nxt_v)
-            star.append(n)
-            _, _, nxt_v = self._rotate_to(n, v)
-            cur = n
-        # ring ends with the first vertex repeated's predecessor; drop dupes
-        ring = ring[:-1] if ring[0] == ring[-1] else ring
+        star, ring = self._star(v)
         # canonical rotation so the retriangulation is independent of
         # which incident triangle the walk started from
         k = ring.index(min(ring))
         ring = ring[k:] + ring[:k]
         for tid in star:
             self._rm_tri(tid)
-        created = []
-        for tri in self._triangulate_polygon(ring):
-            created.append(self._add_tri(*tri))
+        created = [self._add_tri(*tri) for tri in self._triangulate_polygon(ring)]
         self.alive[v] = False
         self._v2t.pop(v, None)
         return InsertResult(v, created, sorted(star))
@@ -676,17 +650,7 @@ class Triangulation:
         t._add_tri(s0, s1, s2)
 
         for vid in range(len(pslg.vertices)):
-            p = t.points[vid]
-            where = t.locate(p.x, p.y)
-            if where[0] == "vertex":
-                raise DuplicateVertexError(f"vertex {vid} duplicates another")
-            if where[0] == "outside":
-                raise TriangulationError("input escapes the bounding triangle")
-            if where[0] == "edge":
-                seeds = list(t.edge_map[_edge_key(*where[1])])
-            else:
-                seeds = [where[1]]
-            t._insert_in_cavity(vid, seeds)
+            t._insert_in_cavity(vid, t._cavity_seeds(t.points[vid]))
 
         for i, seg in enumerate(pslg.segments):
             t._insert_constraint_edge(seg.a, seg.b)
@@ -695,40 +659,20 @@ class Triangulation:
             t.subsegments[_edge_key(seg.a, seg.b)] = Subseg(lineage, length)
             t.lineage_root_length[lineage] = length
 
-        for s in (s2, s1, s0):
-            for tid in t._star(s):
-                t._rm_tri(tid)
-            t._v2t.pop(s, None)
-            t.points.pop()
-            t.tags.pop()
-            t.alive.pop()
+        for tid in [k for k, verts in t.triangles.items() if max(verts) >= s0]:
+            t._rm_tri(tid)
+        for s in (s0, s1, s2):
+            del t._v2t[s]
+        del t.points[s0:], t.tags[s0:], t.alive[s0:]
 
         for hole in pslg.holes:
-            where = t.locate(hole.x, hole.y)
-            if where[0] == "in":
-                seeds = [where[1]]
-            elif where[0] == "edge" and _edge_key(*where[1]) not in t.subsegments:
-                seeds = list(t.edge_map[_edge_key(*where[1])])
-            else:
-                continue
-            region = set(seeds)
-            stack = list(seeds)
-            while stack:
-                tid = stack.pop()
-                a, b, c = t.triangles[tid]
-                for u, v in ((a, b), (b, c), (c, a)):
-                    if _edge_key(u, v) in t.subsegments:
-                        continue
-                    n = t._neighbor(tid, u, v)
-                    if n is not None and n not in region:
-                        region.add(n)
-                        stack.append(n)
-            for tid in sorted(region):
+            try:
+                seeds = t._cavity_seeds(hole)
+            except TriangulationError:
+                continue  # on a vertex or a constraint, or outside the domain
+            for tid in sorted(t._flood(seeds, lambda tid: True)):
                 t._rm_tri(tid)
             t.holes_carved += 1
-
-        if t._walk_hint not in t.triangles and t.triangles:
-            t._walk_hint = next(iter(t.triangles))
         return t
 
 

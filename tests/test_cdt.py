@@ -239,6 +239,25 @@ class TestSplit:
         with pytest.raises(MissingSubsegmentError):
             t.split_subsegment(0, 2)
 
+    # a slanted 8-gon: the rounded midpoint falls outside edges 0, 1 and 7,
+    # inside edges 2, 3 and 4, and exactly on edges 5 and 6
+    OCTAGON = (
+        Point(1, 0), Point(0.9567, 0.2912), Point(-0.0261, 0.9997),
+        Point(-0.9, 0.4359), Point(-0.9975, 0.0712), Point(-0.8501, -0.5267),
+        Point(-0.4324, -0.9017), Point(0.4068, -0.9135),
+    )
+
+    @pytest.mark.parametrize("u", range(8))
+    def test_split_of_slanted_boundary_edge(self, u):
+        v = (u + 1) % 8
+        t = Triangulation.build(Pslg(
+            self.OCTAGON, tuple(Segment(i, (i + 1) % 8) for i in range(8))
+        ))
+        t.split_subsegment(u, v)
+        assert t.check() == []
+        assert (min(u, v), max(u, v)) not in t.edge_map
+        assert all(t.min_angle(tid) > 0 for tid in t.triangles)
+
     def test_midpoint_tag(self):
         t = Triangulation.build(square_pslg(2.0))
         mid, _, _ = t.split_subsegment(0, 1)
