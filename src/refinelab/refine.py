@@ -269,7 +269,7 @@ class _Run:
 
     # -- mesh operations --------------------------------------------------------
 
-    def _split(self, key: tuple[int, int], rescan_vertices: bool) -> None:
+    def _split(self, key: tuple[int, int]) -> None:
         rec = self.tri.subsegments[key]
         mid_vid, children, res = self.tri.split_subsegment(*key)
         self.insertions += 1
@@ -283,7 +283,7 @@ class _Run:
         )
         for tid in res.created:
             self._consider_triangle(tid)
-        if rescan_vertices:
+        if self.algorithm == RUPPERT:
             self._scan_new_vertex(mid_vid)
             for child in children:
                 self._scan_new_subseg(child)
@@ -315,25 +315,30 @@ class _Run:
 
     # -- engines ------------------------------------------------------------------
 
-    def run_ruppert(self) -> RefinementOutcome:
-        for key in self.tri.subsegments:
-            self._scan_new_subseg(key)
+    def run(self) -> RefinementOutcome:
+        conforming = self.algorithm == RUPPERT
+        if conforming:
+            for key in self.tri.subsegments:
+                self._scan_new_subseg(key)
         while True:
             if self.floor_hit:
                 return self._finish(DIVERGENCE_FLOOR_HIT)
             if not self._budget_left():
                 return self._finish(BUDGET_EXHAUSTED)
-            if self._seg_queue:
+            if self._seg_queue:  # only the conforming engine queues any
                 key = self._seg_queue.popleft()
                 self._queued.discard(key)
                 if key not in self.tri.subsegments:
                     continue
-                self._split(key, rescan_vertices=True)
+                self._split(key)
                 continue
             tid = self._pop_skinny()
             if tid is None:
                 return self._finish(TERMINATED)
-            self._process_skinny_ruppert(tid)
+            if conforming:
+                self._process_skinny_ruppert(tid)
+            else:
+                self._process_skinny_chew2(tid)
 
     def _process_skinny_ruppert(self, tid: int) -> None:
         pa, pb, pc = self.tri.triangle_points(tid)
@@ -355,20 +360,9 @@ class _Run:
                     and not self.floor_hit
                     and self._budget_left()
                 ):
-                    self._split(key, rescan_vertices=True)
+                    self._split(key)
         else:
             self._insert_circumcenter(c, tid, ma)
-
-    def run_chew2(self) -> RefinementOutcome:
-        while True:
-            if self.floor_hit:
-                return self._finish(DIVERGENCE_FLOOR_HIT)
-            if not self._budget_left():
-                return self._finish(BUDGET_EXHAUSTED)
-            tid = self._pop_skinny()
-            if tid is None:
-                return self._finish(TERMINATED)
-            self._process_skinny_chew2(tid)
 
     def _process_skinny_chew2(self, tid: int) -> None:
         pa, pb, pc = self.tri.triangle_points(tid)
@@ -396,17 +390,17 @@ class _Run:
             self._emit(VERTEX_DELETED, x=p.x, y=p.y)
             for t in res.created:
                 self._consider_triangle(t)
-        self._split(blocked, rescan_vertices=False)
+        self._split(blocked)
 
 
 def ruppert(pslg: Pslg, cfg: RefinementConfig) -> RefinementOutcome:
     """Conforming-Delaunay refinement with diametral-circle encroachment."""
-    return _Run(pslg, cfg, RUPPERT).run_ruppert()
+    return _Run(pslg, cfg, RUPPERT).run()
 
 
 def chew2(pslg: Pslg, cfg: RefinementConfig) -> RefinementOutcome:
     """Constrained-Delaunay refinement with free-vertex deletion."""
-    return _Run(pslg, cfg, CHEW2).run_chew2()
+    return _Run(pslg, cfg, CHEW2).run()
 
 
 def audit(outcome: RefinementOutcome, cfg: Optional[RefinementConfig] = None
