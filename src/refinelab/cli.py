@@ -1,9 +1,11 @@
 """Command-line surface: generate inputs, run refinements, scan, solve.
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 engine or solver
-failure.  All numeric arguments are degrees; reports echo the full
-configuration so runs can be reproduced byte for byte (pass
-``--no-timestamp`` to omit wall-clock fields from JSON output).
+failure.  The input's segments must enclose the domain: a circumcenter
+that lands outside it ends the run with exit 3.  All numeric arguments
+are degrees; reports echo the full configuration so runs can be
+reproduced byte for byte (pass ``--no-timestamp`` to omit wall-clock
+fields from JSON output).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import analysis, generators
-from .cdt import InvalidPslgError, Triangulation
+from .cdt import InvalidPslgError, Triangulation, TriangulationError
 from .geom import min_angle_deg
 from .pslg import Pslg, PolyParseError, min_input_angle_deg, parse_poly, write_poly
 from .refine import (
@@ -328,7 +330,8 @@ def main(argv=None) -> int:
     except (OSError, PolyParseError, InvalidPslgError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (EngineError, analysis.ConvergenceError, analysis.ScanError) as e:
+    except (EngineError, TriangulationError, analysis.ConvergenceError,
+            analysis.ScanError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 3
 

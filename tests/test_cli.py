@@ -5,8 +5,9 @@ import pytest
 
 from refinelab.cli import main, mesh_to_svg, write_ele, write_node
 from refinelab.cdt import Triangulation
+from refinelab.geom import Point
 from refinelab.generators import pinwheel
-from refinelab.pslg import parse_poly
+from refinelab.pslg import Pslg, Segment, parse_poly, write_poly
 
 
 def read(path):
@@ -101,6 +102,18 @@ class TestRefine:
              "--alpha", "20"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("alg", ["ruppert", "chew2"])
+    def test_unenclosed_domain_is_engine_error(self, tmp_path, capsys, alg):
+        # one segment encloses nothing: a circumcenter lands outside the hull
+        poly = tmp_path / "open.poly"
+        poly.write_text(write_poly(Pslg(
+            (Point(0, 0), Point(4, 0), Point(0, 1), Point(1, 0.3)),
+            (Segment(0, 1),),
+        )))
+        code = main(["refine", str(poly), "--alg", alg, "--alpha", "25"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("run failed: ")
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         poly = tmp_path / "pin4.poly"
