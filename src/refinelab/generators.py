@@ -9,12 +9,17 @@ Perturbation conventions (``delta`` is dimensionless):
 
 * ``pav``: the angle between the two segments is narrowed by ``delta``
   radians.  At ``delta=0`` the skinny triangle's circumcenter lies
-  exactly on the diametral circle of the longer segment; any positive
-  ``delta`` moves it strictly inside.
+  exactly on the diametral circle of the longer segment; a positive
+  ``delta`` moves it inside.  ``geom.encroaches`` treats a relative
+  1e-12 band around the circle as on it, so the encroachment is strict
+  only once ``delta`` clears that band: ruppert at 31 deg terminates on
+  ``pav(3e-13)`` and diverges on ``pav(1e-12)``.
 * ``example2``: the two segments that play the "longer side" role in
   the spiral's boundary-tight steps are stretched by ``1+delta``, which
-  preserves the spiral's exact self-similarity while making both
-  boundary encroachments strict.
+  preserves the spiral's exact self-similarity while moving both
+  boundary encroachments inside the circle.  They are strict once
+  ``delta`` clears the same band: ``example2(delta=1e-12)`` still
+  terminates at 30 and 31 deg, ``delta=1e-9`` diverges.
 """
 
 from __future__ import annotations
@@ -161,7 +166,8 @@ def example2(theta_deg: float = 75.0, a: float = 1.0, delta: float = 0.0,
     Segments from the apex: length 1+delta at 0 deg, 2a at theta,
     sqrt(2)(1+delta) at 180 deg, and a*sqrt(2) at 180+theta.  One spiral
     revolution halves all four lengths; the two boundary-tight steps
-    become strict encroachments for any delta > 0.
+    become strict encroachments once delta clears the relative 1e-12
+    band of ``geom.encroaches`` (1e-9 does, 1e-12 does not).
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")

@@ -20,7 +20,7 @@ from refinelab.refine import (
     chew2,
     ruppert,
 )
-from refinelab.analysis import cascade_splits
+from refinelab.analysis import DIVERGING, TERMINATED_V, cascade_splits, classify
 
 
 def square_pslg(side=4.0):
@@ -154,6 +154,16 @@ class TestPavBoundary:
         tail = rec[-10:]
         for a, b in zip(tail, tail[1:]):
             assert b.length / a.length == pytest.approx(2 ** -0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("delta,verdict", [
+        (3e-13, TERMINATED_V),
+        (1e-12, DIVERGING),
+    ])
+    def test_diametral_dead_band(self, delta, verdict):
+        # encroaches() puts a relative 1e-12 band around the diametral
+        # circle on it: a narrower perturbation is not an encroachment
+        out = ruppert(pav(delta), RefinementConfig(alpha_deg=31, max_insertions=2000))
+        assert classify(out).status == verdict
 
 
 class TestDeterminismAndEquivariance:
