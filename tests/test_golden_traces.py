@@ -14,6 +14,7 @@ that alters behaviour on purpose re-records the table and says why.
 
 import functools
 import hashlib
+import math
 import random
 
 import pytest
@@ -24,6 +25,18 @@ from refinelab.geom import Point
 from refinelab.pslg import Pslg, Segment
 from refinelab.refine import RefinementConfig, chew2, ruppert
 
+def _wedge(deg):
+    """Two unit segments from the origin meeting at ``deg`` degrees,
+    enclosed.  Unlike the other families its input angle is below 60
+    degrees, so a split midpoint encroaches a subsegment that is already
+    queued."""
+    t = math.radians(deg)
+    return generators.enclose(Pslg(
+        (Point(0.0, 0.0), Point(1.0, 0.0), Point(math.cos(t), math.sin(t))),
+        (Segment(0, 1), Segment(0, 2)),
+    ))
+
+
 FAMILIES = {
     "pav(0)": lambda: generators.pav(0.0),
     "pav(1e-3)": lambda: generators.pav(1e-3),
@@ -32,6 +45,7 @@ FAMILIES = {
     "pinwheel5": lambda: generators.pinwheel(5),
     "example2": lambda: generators.example2(),
     "example2-opt(1e-3)": lambda: generators.example2_optimized(1e-3),
+    "wedge(20)": lambda: _wedge(20),
 }
 
 ENGINES = {"ruppert": ruppert, "chew2": chew2}
@@ -198,6 +212,26 @@ GOLDEN = {
         "438f2dcb7d52a280f9a63be024180dd8660496f5a1aec9bf61289e5ba9d5669f",
     ("example2-opt(1e-3)", "chew2", 34, False):
         "82d0275db160214a763467e564c68649ae0d4f373fc83c83ffab19842d98d953",
+    ("wedge(20)", "ruppert", 20, False):
+        "7c35c4d1c445c0a47425db092378de1fb8b8467dab01fd81d2ce48f9fba25668",
+    ("wedge(20)", "ruppert", 25, False):
+        "6c9b1c5f12e0a256c22901af49e9df645023b868d5ac8decd4620c6b6c7aa7eb",
+    ("wedge(20)", "ruppert", 29, False):
+        "6c9b1c5f12e0a256c22901af49e9df645023b868d5ac8decd4620c6b6c7aa7eb",
+    ("wedge(20)", "ruppert", 31, False):
+        "6c9b1c5f12e0a256c22901af49e9df645023b868d5ac8decd4620c6b6c7aa7eb",
+    ("wedge(20)", "ruppert", 34, False):
+        "6c9b1c5f12e0a256c22901af49e9df645023b868d5ac8decd4620c6b6c7aa7eb",
+    ("wedge(20)", "chew2", 20, False):
+        "8e12d3875136cb08a6a19546b4fce731ad76a0520a54442d037fef5048a85751",
+    ("wedge(20)", "chew2", 25, False):
+        "120f1bcc2ec02ecb6173718ad8323b26ad09c68a73bc10483be9cb8c244e6f60",
+    ("wedge(20)", "chew2", 29, False):
+        "120f1bcc2ec02ecb6173718ad8323b26ad09c68a73bc10483be9cb8c244e6f60",
+    ("wedge(20)", "chew2", 31, False):
+        "120f1bcc2ec02ecb6173718ad8323b26ad09c68a73bc10483be9cb8c244e6f60",
+    ("wedge(20)", "chew2", 34, False):
+        "120f1bcc2ec02ecb6173718ad8323b26ad09c68a73bc10483be9cb8c244e6f60",
 }
 
 
