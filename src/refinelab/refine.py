@@ -15,9 +15,14 @@ how a skinny triangle's circumcenter is rejected:
   subsegment is split and every free vertex inside its closed diametral
   disk is deleted first.
 
-Queue discipline: encroached subsegments in FIFO order, then skinny
-triangles worst-first with ties broken by creation order.  Runs are
-deterministic: identical inputs give bit-identical traces.
+Queue discipline: every split is a pop from one FIFO queue of
+subsegments, which is emptied before the next skinny triangle is taken;
+skinny triangles come worst-first with ties broken by creation order.  A
+rejected circumcenter queues the subsegments that rejected it.  The
+conforming engine tests each new vertex and each new subsegment once:
+a circumcenter before it is inserted, a split midpoint and its two
+halves right after the split.  Runs are deterministic: identical inputs
+give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -235,23 +240,17 @@ class _Run:
             heapq.heappush(self._heap, (ma, self._hseq, tid))
             self._hseq += 1
 
-    def _pop_skinny(self) -> Optional[int]:
+    def _pop_skinny(self) -> Optional[tuple[int, float]]:
         while self._heap:
-            _, _, tid = heapq.heappop(self._heap)
+            ma, _, tid = heapq.heappop(self._heap)
             if tid in self.tri.triangles:
-                return tid
+                return tid, ma
         return None
 
     def _queue_subseg(self, key: tuple[int, int]) -> None:
         if key not in self._queued:
             self._queued.add(key)
             self._seg_queue.append(key)
-
-    def _scan_new_vertex(self, vid: int) -> None:
-        """Queue every subsegment the fresh vertex encroaches (rule 1)."""
-        p = self.tri.points[vid]
-        for key in encroached_subsegs(self.tri, p, self.cfg.closed_diametral):
-            self._queue_subseg(key)
 
     def _scan_new_subseg(self, key: tuple[int, int]) -> None:
         """Queue the new subsegment if any existing vertex encroaches it."""
@@ -284,7 +283,9 @@ class _Run:
         for tid in res.created:
             self._consider_triangle(tid)
         if self.algorithm == RUPPERT:
-            self._scan_new_vertex(mid_vid)
+            closed = self.cfg.closed_diametral
+            for other in encroached_subsegs(self.tri, mid, closed):
+                self._queue_subseg(other)
             for child in children:
                 self._scan_new_subseg(child)
         if rec.length / 2.0 < self.floor_len:
@@ -297,11 +298,6 @@ class _Run:
         self._emit(CIRCUMCENTER_INSERT, min_angle=min_angle, x=c.x, y=c.y)
         for tid in res.created:
             self._consider_triangle(tid)
-        if self.algorithm == RUPPERT:
-            self._scan_new_vertex(res.vertex)
-
-    def _budget_left(self) -> bool:
-        return self.insertions < self.cfg.max_insertions
 
     def _finish(self, status: str) -> RefinementOutcome:
         return RefinementOutcome(
@@ -323,26 +319,23 @@ class _Run:
         while True:
             if self.floor_hit:
                 return self._finish(DIVERGENCE_FLOOR_HIT)
-            if not self._budget_left():
+            if self.insertions >= self.cfg.max_insertions:
                 return self._finish(BUDGET_EXHAUSTED)
-            if self._seg_queue:  # only the conforming engine queues any
+            if self._seg_queue:
                 key = self._seg_queue.popleft()
                 self._queued.discard(key)
-                if key not in self.tri.subsegments:
-                    continue
                 self._split(key)
                 continue
-            tid = self._pop_skinny()
-            if tid is None:
+            skinny = self._pop_skinny()
+            if skinny is None:
                 return self._finish(TERMINATED)
             if conforming:
-                self._process_skinny_ruppert(tid)
+                self._process_skinny_ruppert(*skinny)
             else:
-                self._process_skinny_chew2(tid)
+                self._process_skinny_chew2(*skinny)
 
-    def _process_skinny_ruppert(self, tid: int) -> None:
+    def _process_skinny_ruppert(self, tid: int, ma: float) -> None:
         pa, pb, pc = self.tri.triangle_points(tid)
-        ma = self.tri.min_angle(tid)
         c = circumcenter(pa, pb, pc)
         closed = self.cfg.closed_diametral
         encroached = list(encroached_subsegs(self.tri, c, closed))
@@ -355,18 +348,12 @@ class _Run:
                 y=c.y,
             )
             for key in encroached:
-                if (
-                    key in self.tri.subsegments
-                    and not self.floor_hit
-                    and self._budget_left()
-                ):
-                    self._split(key)
+                self._queue_subseg(key)
         else:
             self._insert_circumcenter(c, tid, ma)
 
-    def _process_skinny_chew2(self, tid: int) -> None:
+    def _process_skinny_chew2(self, tid: int, ma: float) -> None:
         pa, pb, pc = self.tri.triangle_points(tid)
-        ma = self.tri.min_angle(tid)
         c = circumcenter(pa, pb, pc)
         g = Point((pa.x + pb.x + pc.x) / 3.0, (pa.y + pb.y + pc.y) / 3.0)
         blocked = self.tri.first_constraint_crossing(g, c)
@@ -390,7 +377,7 @@ class _Run:
             self._emit(VERTEX_DELETED, x=p.x, y=p.y)
             for t in res.created:
                 self._consider_triangle(t)
-        self._split(blocked)
+        self._queue_subseg(blocked)
 
 
 def ruppert(pslg: Pslg, cfg: RefinementConfig) -> RefinementOutcome:

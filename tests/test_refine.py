@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from refinelab import refine
 from refinelab.cdt import CIRCUMCENTER
 from refinelab.geom import Point, encroaches
 from refinelab.pslg import Pslg, Segment
@@ -294,6 +295,26 @@ class TestTraceAndAudit:
         counts = out.trace.counts()
         total = counts.get(SEGMENT_SPLIT, 0) + counts.get(CIRCUMCENTER_INSERT, 0)
         assert total == out.insertions == 40
+
+    def test_one_encroachment_query_per_new_vertex(self, monkeypatch):
+        # a split midpoint is tested when it is made, a circumcenter
+        # before it is inserted or rejected, and neither ever again
+        calls = 0
+        query = refine.encroached_subsegs
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return query(*args)
+
+        monkeypatch.setattr(refine, "encroached_subsegs", counted)
+        out = ruppert(pav(1e-3), RefinementConfig(alpha_deg=31, max_insertions=2000))
+        counts = out.trace.counts()
+        tested = sum(counts.get(k, 0) for k in (
+            CIRCUMCENTER_INSERT, CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
+            SEGMENT_SPLIT,
+        ))
+        assert calls == tested
 
 
 class TestExample2Spiral:
