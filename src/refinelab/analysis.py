@@ -13,7 +13,7 @@ designed angle is as small as possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from .pslg import Pslg
@@ -71,14 +71,7 @@ class OptimumSolution:
     iterations: int
 
     def to_dict(self) -> dict:
-        return {
-            "theta_deg": self.theta_deg,
-            "a": self.a,
-            "alpha1_deg": self.alpha1_deg,
-            "alpha2_deg": self.alpha2_deg,
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,13 +81,7 @@ class DivergenceVerdict:
     lineage_cycle: Optional[tuple[int, ...]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "decay_ratio": self.decay_ratio,
-            "lineage_cycle": (
-                list(self.lineage_cycle) if self.lineage_cycle else None
-            ),
-        }
+        return asdict(self)
 
 
 def _check_domain(theta: float, a: float, alpha1: float, alpha2: float) -> None:
@@ -291,13 +278,7 @@ class ScanProbe:
     splits: int
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_deg": self.alpha_deg,
-            "status": self.status,
-            "verdict": self.verdict.to_dict(),
-            "insertions": self.insertions,
-            "splits": self.splits,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -310,14 +291,7 @@ class ScanResult:
     probes: tuple[ScanProbe, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "threshold_deg": self.threshold_deg,
-            "lo": self.lo,
-            "hi": self.hi,
-            "tol": self.tol,
-            "algorithm": self.algorithm,
-            "probes": [p.to_dict() for p in self.probes],
-        }
+        return asdict(self)
 
 
 def _as_pslg(target) -> Pslg:

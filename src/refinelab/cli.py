@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import analysis, generators
@@ -145,12 +146,7 @@ def run_report(outcome: RefinementOutcome, source: dict,
     report = {
         "input": source,
         "algorithm": outcome.algorithm,
-        "config": {
-            "alpha_deg": outcome.config.alpha_deg,
-            "max_insertions": outcome.config.max_insertions,
-            "min_length_ratio": outcome.config.min_length_ratio,
-            "closed_diametral": outcome.config.closed_diametral,
-        },
+        "config": asdict(outcome.config),
         "status": outcome.status,
         "insertions": outcome.insertions,
         "event_counts": outcome.trace.counts(),

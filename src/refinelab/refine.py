@@ -99,18 +99,7 @@ class TraceEvent:
     y: Optional[float]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "kind": self.kind,
-                "lineage": self.lineage,
-                "length": self.length,
-                "min_angle_deg": self.min_angle_deg,
-                "x": self.x,
-                "y": self.y,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
