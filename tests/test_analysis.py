@@ -17,7 +17,15 @@ from refinelab.analysis import (
     threshold_scan,
 )
 from refinelab.generators import ExampleConfig, PAV, PINWHEEL, pav, pinwheel
-from refinelab.refine import RefinementConfig, ruppert
+from refinelab.refine import (
+    BUDGET_EXHAUSTED,
+    SEGMENT_SPLIT,
+    RefinementConfig,
+    RefinementOutcome,
+    RefinementTrace,
+    TraceEvent,
+    ruppert,
+)
 
 
 class TestResiduals:
@@ -134,6 +142,31 @@ class TestClassify:
     def test_budget_without_cascade_is_inconclusive(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=6))
         assert classify(out).status == INCONCLUSIVE
+
+    @pytest.mark.parametrize(
+        "lineages,ratio,status",
+        [
+            (list(range(13)), 0.5, INCONCLUSIVE),
+            ([i % 2 for i in range(13)], 0.6, INCONCLUSIVE),
+            ([i % 2 for i in range(13)], 0.5, DIVERGING),
+        ],
+        ids=["no-period", "ratio-0.6", "halving"],
+    )
+    def test_synthetic_record_tails(self, lineages, ratio, status):
+        # 13 record splits whose length falls by `ratio` every two events
+        events = tuple(
+            TraceEvent(i, SEGMENT_SPLIT, lin, ratio ** (i / 2), None, None, None)
+            for i, lin in enumerate(lineages)
+        )
+        out = RefinementOutcome(
+            BUDGET_EXHAUSTED, None, RefinementTrace(events), len(events),
+            RefinementConfig(alpha_deg=30), "RUPPERT",
+        )
+        v = classify(out)
+        assert v.status == status
+        if status == DIVERGING:
+            assert v.decay_ratio == pytest.approx(2 ** -0.5)
+            assert v.lineage_cycle == (1, 0)
 
     def test_record_subsequence_is_strictly_decreasing(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31))

@@ -1,7 +1,12 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import refinelab
 from refinelab import refine
 from refinelab.cdt import CIRCUMCENTER
 from refinelab.geom import Point, encroaches
@@ -211,6 +216,34 @@ class TestDeterminismAndEquivariance:
 
         a, b = config_splits(t4), config_splits(t8)
         assert a[:16] == b[:16]
+
+    def test_trace_bytes_do_not_depend_on_hash_seed(self):
+        script = (
+            "import hashlib, math\n"
+            "from refinelab.generators import enclose, pinwheel\n"
+            "from refinelab.geom import Point\n"
+            "from refinelab.pslg import Pslg, Segment\n"
+            "from refinelab.refine import RefinementConfig, chew2, ruppert\n"
+            "t = math.radians(20)\n"
+            "wedge = enclose(Pslg((Point(0.0, 0.0), Point(1.0, 0.0),\n"
+            "    Point(math.cos(t), math.sin(t))), (Segment(0, 1), Segment(0, 2))))\n"
+            "h = hashlib.sha256()\n"
+            "h.update(ruppert(wedge, RefinementConfig(alpha_deg=25))"
+            ".trace.to_jsonl().encode())\n"
+            "h.update(chew2(pinwheel(4), RefinementConfig(alpha_deg=31, "
+            "max_insertions=500)).trace.to_jsonl().encode())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(refinelab.__file__))
+        digests = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True,
+                text=True, check=True, timeout=120,
+            )
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestTraceAndAudit:
