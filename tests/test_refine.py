@@ -1,4 +1,3 @@
-import hashlib
 import math
 import os
 import subprocess
@@ -243,7 +242,7 @@ class TestDeterminismAndEquivariance:
                 text=True, check=True, timeout=120,
             )
             digests.add(done.stdout.strip())
-        assert len(digests) == 1
+        assert len(digests) == 1 and len(digests.pop()) == 64
 
 
 class TestTraceAndAudit:
