@@ -13,7 +13,7 @@ designed angle is as small as possible.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .pslg import Pslg
@@ -70,18 +70,12 @@ class OptimumSolution:
     residual_norm: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class DivergenceVerdict:
     status: str
     decay_ratio: Optional[float] = None
     lineage_cycle: Optional[tuple[int, ...]] = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _check_domain(theta: float, a: float, alpha1: float, alpha2: float) -> None:
@@ -154,13 +148,12 @@ def _norm2(v) -> float:
 
 def solve_optimum(
     guess_deg: tuple[float, float, float, float] = (75.0, 1.0, 29.0, 30.0),
-    tol: float = 1e-13,
     max_iter: int = 100,
 ) -> OptimumSolution:
     """Damped Newton iteration on the balance system.
 
     The guess is (theta in degrees, a, alpha1 in degrees, alpha2 in
-    degrees); convergence means a residual 2-norm below ``tol``.
+    degrees); convergence means a residual 2-norm below ``_SOLVE_TOL``.
     """
     x = [
         math.radians(guess_deg[0]),
@@ -172,7 +165,7 @@ def solve_optimum(
     rn = _norm2(r)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        if rn < tol:
+        if rn < _SOLVE_TOL:
             iterations -= 1
             break
         step = _solve4(jacobian(*x), [-v for v in r])
@@ -193,7 +186,7 @@ def solve_optimum(
             raise ConvergenceError(
                 f"damping failed at residual norm {rn:.3e}", rn
             )
-    if rn >= tol:
+    if rn >= _SOLVE_TOL:
         raise ConvergenceError(
             f"no convergence in {max_iter} iterations (residual {rn:.3e})", rn
         )
@@ -207,13 +200,11 @@ def solve_optimum(
     )
 
 
-def _detect_cycle(lineages: list[int], max_period: int = 8) -> Optional[int]:
+def _detect_cycle(lineages: list[int]) -> Optional[int]:
     """Smallest period of the tail of the lineage sequence, if any."""
     n = len(lineages)
-    for p in range(1, max_period + 1):
-        if p > n // 2:
-            break
-        if all(lineages[n - 1 - i] == lineages[n - 1 - i - p] for i in range(n - p)):
+    for p in range(1, n // 2 + 1):
+        if lineages[p:] == lineages[:n - p]:
             return p
     return None
 
@@ -234,6 +225,7 @@ def cascade_splits(outcome: RefinementOutcome):
     return records
 
 
+_SOLVE_TOL = 1e-13  # solve_optimum's target residual 2-norm
 _WINDOW = 12  # classify judges the last _WINDOW + 1 record splits
 _RATIO_TOL = 0.01  # relative tolerance on each per-revolution halving
 
@@ -277,9 +269,6 @@ class ScanProbe:
     insertions: int
     splits: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -289,9 +278,6 @@ class ScanResult:
     tol: float
     algorithm: str
     probes: tuple[ScanProbe, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _as_pslg(target) -> Pslg:
@@ -316,11 +302,15 @@ def threshold_scan(
 
     ``target`` is a Pslg or an ExampleConfig.  Refinement at ``lo`` must
     terminate and at ``hi`` must diverge, otherwise the bracket is
-    rejected.  An inconclusive probe is retried once with a four times
-    larger insertion budget.
+    rejected.  ``tol`` must be at least the float spacing at ``hi``, or
+    a midpoint could round back onto an end of the bracket forever.  An
+    inconclusive probe is retried once with a four times larger
+    insertion budget.
     """
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
+    if not tol >= math.ulp(hi):
+        raise ScanError(f"tolerance must be positive and >= {math.ulp(hi):.3g}")
     if algorithm not in (RUPPERT, CHEW2):
         raise ScanError(f"unknown algorithm {algorithm!r}")
     pslg = _as_pslg(target)

@@ -100,7 +100,6 @@ class Triangulation:
         self.holes_carved = 0
         self._next_tid = 0
         self._v2t: dict[int, int] = {}
-        self._walk_hint: int = -1
 
     # -- low-level structure ------------------------------------------------
 
@@ -118,7 +117,6 @@ class Triangulation:
             self.edge_map.setdefault(_edge_key(u, v), []).append(tid)
         for v in (a, b, c):
             self._v2t[v] = tid
-        self._walk_hint = tid
         return tid
 
     def _rm_tri(self, tid: int) -> None:
@@ -167,7 +165,8 @@ class Triangulation:
         ('outside', last_tid)."""
         if not self.triangles:
             raise TriangulationError("empty triangulation")
-        cur = start if start in self.triangles else self._walk_hint
+        # without a usable start, walk from the newest triangle
+        cur = start if start in self.triangles else self._next_tid - 1
         if cur not in self.triangles:
             cur = next(iter(self.triangles))
         steps = 0
@@ -438,24 +437,23 @@ class Triangulation:
                 raise TriangulationError("no ear found; polygon is degenerate")
         tris.append(list(work))
 
-        # Lawson flips on internal diagonals until locally Delaunay
+        # Lawson flips on internal diagonals until locally Delaunay; a pass
+        # tries each diagonal once, from its lower-numbered triangle
+        def diagonals():
+            owner = {}
+            for i, (a, b, c) in enumerate(tris):
+                owner[a, b] = owner[b, c] = owner[c, a] = i
+            for t1, (a, b, c) in enumerate(tris):
+                for _ in range(3):
+                    t2 = owner.get((b, a), -1)
+                    if t2 > t1:
+                        yield t1, t2, a, b, c
+                    a, b, c = b, c, a
+
         changed = True
         while changed:
             changed = False
-            edge_use: dict[tuple[int, int], list[int]] = {}
-            for idx, (a, b, c) in enumerate(tris):
-                for e in ((a, b), (b, c), (c, a)):
-                    edge_use.setdefault(_edge_key(*e), []).append(idx)
-            for key, users in edge_use.items():
-                if len(users) != 2:
-                    continue
-                t1, t2 = users
-                a, b, c = tris[t1]
-                # rotate t1 so the shared edge is (u, v)
-                for _ in range(3):
-                    if _edge_key(a, b) == key:
-                        break
-                    a, b, c = b, c, a
+            for t1, t2, a, b, c in diagonals():
                 d = next(w for w in tris[t2] if w not in (a, b))
                 p_a, p_b, p_c, p_d = pts[a], pts[b], pts[c], pts[d]
                 # strict convexity of the quad around the diagonal
@@ -555,14 +553,14 @@ class Triangulation:
                 continue
             o_g = orient_sign(a[0], a[1], b[0], b[1], gx, gy)
             o_c = orient_sign(a[0], a[1], b[0], b[1], cx, cy)
-            if o_g == 0 or (o_c != 0 and o_c == o_g):
+            if o_g == 0 or o_c == o_g:
                 continue
-            # exact crossing parameter along g -> c
+            # exact crossing parameter along g -> c; with g off line ab and
+            # c on it or beyond it, num and den share a sign and
+            # |den| >= |num|, so t lies in (0, 1]
             num = _exact_area(a, b, (gx, gy))
             den = num - _exact_area(a, b, (cx, cy))
             t = num / den
-            if not (0 < t <= 1):
-                continue
             if best_t is None or t < best_t:
                 best_t = t
                 best_key = key
@@ -652,12 +650,11 @@ class Triangulation:
         for vid in range(len(pslg.vertices)):
             t._insert_in_cavity(vid, t._cavity_seeds(t.points[vid]))
 
-        for i, seg in enumerate(pslg.segments):
+        for seg in pslg.segments:
             t._insert_constraint_edge(seg.a, seg.b)
-            lineage = seg.lineage if seg.lineage is not None else i
             length = math.dist(pslg.vertices[seg.a], pslg.vertices[seg.b])
-            t.subsegments[_edge_key(seg.a, seg.b)] = Subseg(lineage, length)
-            t.lineage_root_length[lineage] = length
+            t.subsegments[_edge_key(seg.a, seg.b)] = Subseg(seg.lineage, length)
+            t.lineage_root_length[seg.lineage] = length
 
         for tid in [k for k, verts in t.triangles.items() if max(verts) >= s0]:
             t._rm_tri(tid)

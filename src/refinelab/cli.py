@@ -40,6 +40,7 @@ _FAMILIES = {
     "example2-opt": generators.EXAMPLE2_OPT,
 }
 _SCAN_TARGETS = ("pav", "pinwheel3", "pinwheel4", "pinwheel5", "example2-opt")
+_SVG_SIZE = 900  # longer side of the SVG drawing, in pixels
 
 
 class _UsageError(Exception):
@@ -55,14 +56,16 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+def _alive_index(tri: Triangulation) -> dict[int, int]:
+    """Output index of each alive vertex, in vertex-id order."""
+    alive = [vid for vid, ok in enumerate(tri.alive) if ok]
+    return {vid: new for new, vid in enumerate(alive)}
+
+
 def write_node(tri: Triangulation) -> str:
     """Vertex list in .node convention (alive vertices, reindexed)."""
-    index = {}
-    lines = []
-    for vid in range(len(tri.points)):
-        if tri.alive[vid]:
-            index[vid] = len(index)
-    lines.append(f"{len(index)} 2 0 0")
+    index = _alive_index(tri)
+    lines = [f"{len(index)} 2 0 0"]
     for vid, new in index.items():
         p = tri.points[vid]
         lines.append(f"{new} {_fmt(p.x)} {_fmt(p.y)}")
@@ -71,10 +74,7 @@ def write_node(tri: Triangulation) -> str:
 
 def write_ele(tri: Triangulation) -> str:
     """Triangle list in .ele convention, matching write_node's indices."""
-    index = {}
-    for vid in range(len(tri.points)):
-        if tri.alive[vid]:
-            index[vid] = len(index)
+    index = _alive_index(tri)
     lines = [f"{len(tri.triangles)} 3 0"]
     for i, (_, verts) in enumerate(sorted(tri.triangles.items())):
         a, b, c = verts
@@ -82,8 +82,7 @@ def write_ele(tri: Triangulation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None,
-                size: int = 900) -> str:
+def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None) -> str:
     """Render the mesh as standalone SVG, one polygon per triangle.
 
     Triangles with a minimum angle below ``highlight_below_deg`` are
@@ -96,7 +95,7 @@ def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None,
     h = max(ys) - min(ys) or 1.0
     pad = 0.03 * max(w, h)
     view = (min(xs) - pad, min(ys) - pad, w + 2 * pad, h + 2 * pad)
-    scale = size / max(view[2], view[3])
+    scale = _SVG_SIZE / max(view[2], view[3])
     stroke = max(view[2], view[3]) / 1200.0
 
     def sx(x):
@@ -152,7 +151,7 @@ def run_report(outcome: RefinementOutcome, source: dict,
         "event_counts": outcome.trace.counts(),
         "final_min_angle_deg": final_min,
         "shortest_subsegment_ratio": shortest / initial_min,
-        "verdict": verdict.to_dict(),
+        "verdict": asdict(verdict),
     }
     if wall_time_s is not None:
         report["wall_time_s"] = wall_time_s
@@ -241,7 +240,7 @@ def _cmd_scan(args) -> int:
     result = analysis.threshold_scan(
         target, alg, args.lo, args.hi, args.tol, base_cfg=base
     )
-    doc = result.to_dict()
+    doc = asdict(result)
     doc["target"] = args.target
     if args.out:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -256,7 +255,7 @@ def _cmd_scan(args) -> int:
 def _cmd_solve(args) -> int:
     guess = tuple(args.guess) if args.guess else (75.0, 1.0, 29.0, 30.0)
     opt = analysis.solve_optimum(guess)
-    doc = opt.to_dict()
+    doc = asdict(opt)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(

@@ -77,12 +77,10 @@ class ExampleConfig:
 
 
 def _unit(angle_deg: float) -> tuple[float, float]:
-    a = math.fmod(angle_deg, 360.0)
-    if a < 0:
-        a += 360.0
-    if a in _AXIS_UNITS:
-        return _AXIS_UNITS[a]
-    r = math.radians(a)
+    """Unit vector at angle_deg, which lies in [0, 360)."""
+    if angle_deg in _AXIS_UNITS:
+        return _AXIS_UNITS[angle_deg]
+    r = math.radians(angle_deg)
     return (math.cos(r), math.sin(r))
 
 
@@ -117,10 +115,9 @@ def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
             diam = max(diam, math.sqrt(dx * dx + dy * dy))
     if diam == 0.0:
         raise ValueError("configuration has no extent to enclose")
+    # every vertex lies within diam / 2 of (cx, cy) on each axis, and
+    # half >= scale * diam / 2 >= 1.5 * diam, so the square clears them
     half = 2.0 ** math.ceil(math.log2(scale * diam)) / 2.0
-    for v in p.vertices:
-        if max(abs(v.x - cx), abs(v.y - cy)) >= half:
-            raise ValueError("enclosure would touch the configuration")
     base = len(p.vertices)
     corners = (
         Point(cx - half, cy - half),

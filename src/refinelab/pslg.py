@@ -108,9 +108,11 @@ def validate(p: Pslg) -> list[Violation]:
     out: list[Violation] = []
     n = len(p.vertices)
 
+    # non-finite vertices are reported once and kept out of the exact tests
+    finite = [math.isfinite(v[0]) and math.isfinite(v[1]) for v in p.vertices]
     seen: dict[Point, int] = {}
     for i, v in enumerate(p.vertices):
-        if not (math.isfinite(v[0]) and math.isfinite(v[1])):
+        if not finite[i]:
             out.append(Violation("nonfinite_vertex", (i,), f"vertex {i} is not finite"))
             continue
         key = Point(v[0], v[1])
@@ -124,6 +126,9 @@ def validate(p: Pslg) -> list[Violation]:
             )
         else:
             seen[key] = i
+    for i, h in enumerate(p.holes):
+        if not (math.isfinite(h[0]) and math.isfinite(h[1])):
+            out.append(Violation("nonfinite_hole", (i,), f"hole {i} is not finite"))
 
     seg_keys: dict[tuple[int, int], int] = {}
     usable = []
@@ -132,6 +137,8 @@ def validate(p: Pslg) -> list[Violation]:
             out.append(
                 Violation("bad_index", (k,), f"segment {k} references a missing vertex")
             )
+            continue
+        if not (finite[s.a] and finite[s.b]):
             continue
         if s.a == s.b or p.vertices[s.a] == p.vertices[s.b]:
             out.append(
@@ -168,7 +175,7 @@ def validate(p: Pslg) -> list[Violation]:
                 )
         # vertices lying in a segment's interior break constraint recovery
         for j, v in enumerate(p.vertices):
-            if j in (s1.a, s1.b):
+            if j in (s1.a, s1.b) or not finite[j]:
                 continue
             if (
                 orient_sign(a1[0], a1[1], b1[0], b1[1], v[0], v[1]) == 0
@@ -250,6 +257,13 @@ def _parse_int(no: int, token: str, what: str) -> int:
         raise PolyParseError(no, f"bad {what}: {token!r}") from None
 
 
+def _parse_count(no: int, token: str, what: str) -> int:
+    n = _parse_int(no, token, what)
+    if n < 0:
+        raise PolyParseError(no, f"negative {what}: {n}")
+    return n
+
+
 def _parse_float(no: int, token: str, what: str) -> float:
     try:
         return float(token)
@@ -263,7 +277,7 @@ def parse_poly(text: str) -> Pslg:
     no, fields = rd.next("vertex header")
     if len(fields) < 2:
         raise PolyParseError(no, "vertex header needs at least a count and dimension")
-    n_vert = _parse_int(no, fields[0], "vertex count")
+    n_vert = _parse_count(no, fields[0], "vertex count")
     dim = _parse_int(no, fields[1], "dimension")
     if dim != 2:
         raise PolyParseError(no, f"only 2-d files supported, got dimension {dim}")
@@ -283,7 +297,7 @@ def parse_poly(text: str) -> Pslg:
         vertices.append(Point(x, y))
 
     no, fields = rd.next("segment header")
-    n_seg = _parse_int(no, fields[0], "segment count")
+    n_seg = _parse_count(no, fields[0], "segment count")
     segments: list[Segment] = []
     for _ in range(n_seg):
         no, fields = rd.next("segment line")
@@ -297,7 +311,7 @@ def parse_poly(text: str) -> Pslg:
         segments.append(Segment(index_of[a], index_of[b], len(segments)))
 
     no, fields = rd.next("hole header")
-    n_holes = _parse_int(no, fields[0], "hole count")
+    n_holes = _parse_count(no, fields[0], "hole count")
     holes: list[Point] = []
     for _ in range(n_holes):
         no, fields = rd.next("hole line")
@@ -313,7 +327,7 @@ def parse_poly(text: str) -> Pslg:
     # optional trailing region section, parsed and ignored
     if not rd.exhausted():
         no, fields = rd.next("region header")
-        n_reg = _parse_int(no, fields[0], "region count")
+        n_reg = _parse_count(no, fields[0], "region count")
         for _ in range(n_reg):
             rd.next("region line")
 

@@ -96,6 +96,33 @@ def segments_cross_oracle(p1, q1, p2, q2) -> bool:
     return False
 
 
+def first_crossing_oracle(points, subsegments, g, c):
+    """The subsegment key whose crossing with the walk g -> c is nearest g.
+
+    A crossing is the one point that segment gc shares with a subsegment
+    ab; it counts when it lies strictly inside ab and in the half-open
+    segment (g, c].  Parallel pairs have no single common point and never
+    count.  Returns None when no subsegment is crossed.
+    """
+    gx, gy = Fraction(g[0]), Fraction(g[1])
+    dx, dy = Fraction(c[0]) - gx, Fraction(c[1]) - gy
+    best = None
+    for key in subsegments:
+        a, b = points[key[0]], points[key[1]]
+        ax, ay = Fraction(a[0]), Fraction(a[1])
+        ex, ey = Fraction(b[0]) - ax, Fraction(b[1]) - ay
+        den = dx * ey - dy * ex
+        if den == 0:
+            continue
+        # solve g + t (c - g) = a + s (b - a)
+        wx, wy = ax - gx, ay - gy
+        t = (wx * ey - wy * ex) / den
+        s = (wx * dy - wy * dx) / den
+        if 0 < s < 1 and 0 < t <= 1 and (best is None or t < best[0]):
+            best = (t, key)
+    return None if best is None else best[1]
+
+
 def constrained_delaunay_violations(points, triangles, constraint_edges):
     """Brute-force constrained empty-circle audit.
 

@@ -1,13 +1,16 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from refinelab import analysis
 from refinelab.analysis import (
     DIVERGING,
     INCONCLUSIVE,
     TERMINATED_V,
     ConvergenceError,
+    DivergenceVerdict,
     ScanError,
     cascade_splits,
     classify,
@@ -203,6 +206,33 @@ class TestThresholdScan:
     def test_invalid_bracket_rejected(self):
         with pytest.raises(ScanError):
             threshold_scan(ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 35.0, 25.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1e-300])
+    def test_bad_tol_rejected_before_any_probe(self, monkeypatch, tol):
+        probes = []
+        monkeypatch.setattr(analysis, "ruppert", lambda *args: probes.append(args))
+        with pytest.raises(ScanError, match="tolerance must be positive"):
+            threshold_scan(pinwheel(4), "RUPPERT", 25.0, 35.0, tol=tol)
+        assert probes == []
+
+    def test_smallest_tolerance_ends_at_adjacent_floats(self, monkeypatch):
+        # a stand-in engine whose runs diverge exactly above 30.1 degrees
+        def engine(pslg, cfg):
+            return SimpleNamespace(
+                alpha=cfg.alpha_deg, status="", insertions=0,
+                trace=SimpleNamespace(splits=list),
+            )
+
+        def verdict(outcome):
+            return DivergenceVerdict(
+                DIVERGING if outcome.alpha > 30.1 else TERMINATED_V
+            )
+
+        monkeypatch.setattr(analysis, "ruppert", engine)
+        monkeypatch.setattr(analysis, "classify", verdict)
+        res = threshold_scan(pinwheel(4), "RUPPERT", 25.0, 35.0, tol=math.ulp(35.0))
+        assert res.lo <= 30.1 < res.hi
+        assert res.hi - res.lo <= math.ulp(35.0)
 
     def test_non_terminating_lo_rejected(self):
         with pytest.raises(ScanError, match="does not terminate"):

@@ -1,7 +1,9 @@
+import functools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refinelab.cdt import (
     CIRCUMCENTER,
@@ -16,8 +18,9 @@ from refinelab.cdt import (
 from refinelab.geom import Point
 from refinelab.generators import pinwheel
 from refinelab.pslg import Pslg, Segment
+from refinelab.refine import RefinementConfig, chew2
 
-from oracles import constrained_delaunay_violations
+from oracles import constrained_delaunay_violations, first_crossing_oracle
 
 
 def square_pslg(side=1.0):
@@ -319,3 +322,45 @@ class TestDelete:
         for seg in ((0, 1), (1, 2), (2, 3), (0, 3)):
             assert t.is_subsegment(*seg)
         assert t.check() == []
+
+
+class TestFirstConstraintCrossing:
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def mesh(n):
+        return chew2(pinwheel(n), RefinementConfig(alpha_deg=25.0)).triangulation
+
+    @staticmethod
+    def targets(t):
+        """Random points over the mesh, its vertices, and subsegment
+        midpoints, so that walks ending on a subsegment and walks through
+        its endpoints both occur."""
+        xs = [p.x for p in t.points]
+        ys = [p.y for p in t.points]
+        coords = st.tuples(
+            st.floats(min(xs), max(xs)), st.floats(min(ys), max(ys))
+        )
+        vertices = [t.points[v] for v, ok in enumerate(t.alive) if ok]
+        midpoints = [
+            ((t.points[u].x + t.points[v].x) / 2, (t.points[u].y + t.points[v].y) / 2)
+            for u, v in t.subsegments
+        ]
+        return st.one_of(
+            coords, st.sampled_from(vertices), st.sampled_from(midpoints)
+        ).map(lambda xy: Point(*xy))
+
+    # pinwheel(4)'s subsegments are all axis-aligned, so the bounding-box
+    # prefilter alone keeps crossings beyond c out; pinwheel(5)'s slanted
+    # arms need the orientation tests
+    @pytest.mark.parametrize("n", [4, 5])
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_from_centroid(self, n, data):
+        t = self.mesh(n)
+        tid = data.draw(st.sampled_from(sorted(t.triangles)))
+        pa, pb, pc = t.triangle_points(tid)
+        g = Point((pa.x + pb.x + pc.x) / 3.0, (pa.y + pb.y + pc.y) / 3.0)
+        c = data.draw(self.targets(t))
+        assert t.first_constraint_crossing(g, c) == first_crossing_oracle(
+            t.points, t.subsegments, g, c
+        )

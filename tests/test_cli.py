@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from refinelab import analysis
 from refinelab.cli import main, mesh_to_svg, write_ele, write_node
 from refinelab.cdt import Triangulation
 from refinelab.geom import Point
@@ -115,6 +116,26 @@ class TestRefine:
         assert code == 3
         assert capsys.readouterr().err.startswith("run failed: ")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5 2 0 0\n0 0 0\n1 4 0\n2 4 4\n3 0 4\n4 inf 1\n"
+             "4 0\n0 0 1\n1 1 2\n2 2 3\n3 3 0\n0\n",
+             "vertex 4 is not finite"),
+            ("4 2 0 0\n0 0 0\n1 4 0\n2 4 4\n3 0 4\n"
+             "4 0\n0 0 1\n1 1 2\n2 2 3\n3 3 0\n1\n0 inf 1\n",
+             "hole 0 is not finite"),
+        ],
+        ids=["vertex", "hole"],
+    )
+    def test_infinite_coordinate_is_input_error(self, tmp_path, capsys, text,
+                                                message):
+        poly = tmp_path / "inf.poly"
+        poly.write_text(text)
+        code = main(["refine", str(poly), "--alg", "ruppert", "--alpha", "20"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         poly = tmp_path / "pin4.poly"
         main(["generate", "pinwheel", "--n", "4", "-o", str(poly)])
@@ -150,6 +171,19 @@ class TestScan:
             ["scan", "pinwheel4", "--alg", "ruppert", "--lo", "20", "--hi", "25"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1e-300"])
+    def test_bad_tol_is_engine_error(self, monkeypatch, capsys, tol):
+        def no_probe(*args):
+            raise AssertionError("the scan ran a probe")
+
+        monkeypatch.setattr(analysis, "ruppert", no_probe)
+        code = main(
+            ["scan", "pinwheel4", "--alg", "ruppert", "--lo", "25", "--hi", "35",
+             "--tol", tol]
+        )
+        assert code == 3
+        assert "tolerance must be positive" in capsys.readouterr().err
 
     def test_scan_accepts_poly_path(self, tmp_path, capsys):
         poly = tmp_path / "pin4.poly"

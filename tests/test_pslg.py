@@ -59,6 +59,17 @@ class TestValidate:
         p = Pslg(vertices=(Point(0, 0), Point(1, 0)), segments=(Segment(0, 5),))
         assert [v.kind for v in validate(p)] == ["bad_index"]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_hole_is_reported(self, bad):
+        p = Pslg(
+            vertices=square(4.0).vertices,
+            segments=square().segments,
+            holes=(Point(1.0, 1.0), Point(bad, 1.0)),
+        )
+        assert [(v.kind, v.where) for v in validate(p)] == [
+            ("nonfinite_hole", (1,))
+        ]
+
     def test_touching_at_interior_point(self):
         # T junction: vertex 2 sits in the interior of segment (0, 1)
         p = Pslg(
@@ -75,6 +86,62 @@ class TestValidate:
         )
         kinds = {v.kind for v in validate(p)}
         assert "improper_intersection" in kinds or "vertex_on_segment" in kinds
+
+    @pytest.mark.parametrize(
+        "points, segments, expected",
+        [
+            # overlapping collinear segments, each holding an end of the other
+            (
+                ((0, 0), (2, 0), (1, 0), (3, 0)), ((0, 1), (2, 3)),
+                [("improper_intersection", (0, 1)),
+                 ("vertex_on_segment", (2, 0)),
+                 ("vertex_on_segment", (1, 1))],
+            ),
+            # the same overlap with the second segment reversed
+            (
+                ((0, 0), (2, 0), (3, 0), (1, 0)), ((0, 1), (2, 3)),
+                [("improper_intersection", (0, 1)),
+                 ("vertex_on_segment", (3, 0)),
+                 ("vertex_on_segment", (1, 1))],
+            ),
+            # segment 0 lies inside segment 1
+            (
+                ((1, 0), (2, 0), (0, 0), (3, 0)), ((0, 1), (2, 3)),
+                [("improper_intersection", (0, 1)),
+                 ("vertex_on_segment", (0, 1)),
+                 ("vertex_on_segment", (1, 1))],
+            ),
+            # collinear but disjoint
+            (((0, 0), (1, 0), (2, 0), (3, 0)), ((0, 1), (2, 3)), []),
+            # one segment given twice, once reversed
+            (
+                ((0, 0), (1, 0), (0, 1)), ((0, 1), (1, 0), (1, 2)),
+                [("duplicate_segment", (0, 1))],
+            ),
+        ],
+        ids=["overlap", "overlap-reversed", "nested", "disjoint", "repeated"],
+    )
+    def test_segment_pairs_report_in_order(self, points, segments, expected):
+        p = Pslg(
+            vertices=tuple(Point(x, y) for x, y in points),
+            segments=tuple(Segment(a, b) for a, b in segments),
+        )
+        assert [(v.kind, v.where) for v in validate(p)] == expected
+
+    @pytest.mark.parametrize(
+        "bad, segments",
+        [
+            (Point(math.nan, 1.0), square().segments),
+            (Point(math.inf, 1.0), square().segments),
+            (Point(2.0, -math.inf), square().segments + (Segment(4, 0),)),
+        ],
+        ids=["nan-free-vertex", "inf-free-vertex", "inf-segment-endpoint"],
+    )
+    def test_nonfinite_vertex_is_reported_alone(self, bad, segments):
+        p = Pslg(vertices=square(4.0).vertices + (bad,), segments=segments)
+        assert [(v.kind, v.where) for v in validate(p)] == [
+            ("nonfinite_vertex", (4,))
+        ]
 
 
 class TestMinInputAngle:
@@ -171,6 +238,41 @@ class TestPolyFormat:
     def test_malformed_header(self):
         with pytest.raises(PolyParseError):
             parse_poly("not a header\n")
+
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("1 2 0 0\n0 x 0\n", 2, "bad x coordinate: 'x'"),
+            ("3\n", 1, "vertex header needs at least a count and dimension"),
+            ("3 3 0 0\n", 1, "only 2-d files supported, got dimension 3"),
+            ("1 2 0 0\n0 1\n", 2, "vertex line needs an index and two coordinates"),
+            ("2 2 0 0\n0 0 0\n0 1 0\n", 3, "vertex index 0 repeated"),
+            ("2 2 0 0\n0 0 0\n1 1 0\n1 0\n0 1\n", 5,
+             "segment line needs an index and two endpoints"),
+            ("2 2 0 0\n0 0 0\n1 1 0\n1 0\n0 0 1\n1\n0 0.5\n", 7,
+             "hole line needs an index and two coordinates"),
+            ("-1 2 0 0\n0 0\n0\n", 1, "negative vertex count: -1"),
+            ("1 2 0 0\n0 0 0\n-2 0\n0\n", 3, "negative segment count: -2"),
+            ("1 2 0 0\n0 0 0\n0 0\n-1\n", 4, "negative hole count: -1"),
+            ("1 2 0 0\n0 0 0\n0 0\n0\n-3\n", 5, "negative region count: -3"),
+        ],
+        ids=[
+            "bad-float", "short-header", "dimension", "short-vertex-line",
+            "repeated-index", "short-segment-line", "short-hole-line",
+            "negative-vertices", "negative-segments", "negative-holes",
+            "negative-regions",
+        ],
+    )
+    def test_error_names_line_and_cause(self, text, line_no, message):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert err.value.line_no == line_no
+        assert str(err.value) == f"line {line_no}: {message}"
+
+    def test_region_section_is_read_and_ignored(self):
+        text = "2 2 0 0\n0 0 0\n1 1 0\n1 0\n0 0 1\n0\n"
+        with_regions = text + "2\n0 0.5 0.5 1 0\n1 0.25 0.25 2 0\n"
+        assert parse_poly(with_regions) == parse_poly(text)
 
     def test_comments_ignored(self):
         text = "# a comment\n2 2 0 0\n0 0 0\n1 1 0  # trailing\n1 0\n0 0 1\n0\n"
