@@ -63,6 +63,19 @@ class TestBasics:
         assert out.status == BUDGET_EXHAUSTED
         assert out.insertions == 5
 
+    @pytest.mark.parametrize("engine, floor_at", [(ruppert, 732), (chew2, 827)])
+    def test_floor_wins_over_budget_on_the_same_split(self, engine, floor_at):
+        # the split that goes below the floor is also the budget's last
+        # insertion: the run reports the floor; one insertion less and the
+        # budget runs out first
+        out = engine(pinwheel(4), RefinementConfig(
+            alpha_deg=31, max_insertions=floor_at))
+        assert (out.status, out.insertions) == (DIVERGENCE_FLOOR_HIT, floor_at)
+        assert out.trace.events[-1].kind == SEGMENT_SPLIT
+        out = engine(pinwheel(4), RefinementConfig(
+            alpha_deg=31, max_insertions=floor_at - 1))
+        assert (out.status, out.insertions) == (BUDGET_EXHAUSTED, floor_at - 1)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RefinementConfig(alpha_deg=0.0)
