@@ -70,9 +70,10 @@ class ExampleConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == PINWHEEL and self.n not in (3, 4, 5):
             raise ValueError("pinwheel supports 3, 4 or 5 segments")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
-        if self.enclosure_scale < 3:
+        # written to be false for NaN, which fails every comparison
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError("delta must be finite and non-negative")
+        if not self.enclosure_scale >= 3:
             raise ValueError("enclosure scale must be at least 3")
 
 
@@ -101,7 +102,7 @@ def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
     The side is scale times the configuration diameter, rounded up to a
     power of two so enclosure coordinates behave exactly under halving.
     """
-    if scale < 3:
+    if not scale >= 3:
         raise ValueError("enclosure scale must be at least 3")
     xs = [v.x for v in p.vertices]
     ys = [v.y for v in p.vertices]
@@ -115,6 +116,10 @@ def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
             diam = max(diam, math.sqrt(dx * dx + dy * dy))
     if diam == 0.0:
         raise ValueError("configuration has no extent to enclose")
+    if not scale * diam <= 2.0 ** 1023:
+        raise ValueError(
+            f"enclosure scale {scale} makes a side larger than a float holds"
+        )
     # every vertex lies within diam / 2 of (cx, cy) on each axis, and
     # half >= scale * diam / 2 >= 1.5 * diam, so the square clears them
     half = 2.0 ** math.ceil(math.log2(scale * diam)) / 2.0
@@ -134,8 +139,8 @@ def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
 
 def pav(delta: float = 0.0, enclosure_scale: float = 4.0) -> Pslg:
     """Two segments of lengths sqrt(2) and 1 meeting at 105 deg - delta rad."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and non-negative")
     psi = math.radians(105.0) - delta
     core = Pslg(
         (
@@ -166,15 +171,15 @@ def example2(theta_deg: float = 75.0, a: float = 1.0, delta: float = 0.0,
     become strict encroachments once delta clears the relative 1e-12
     band of ``geom.encroaches`` (1e-9 does, 1e-12 does not).
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and non-negative")
     theta = math.radians(theta_deg)
     if not 60.0 < theta_deg < 120.0:
         raise ValueError(
             f"theta={theta_deg} deg leaves an input angle of "
             f"{min(theta_deg, 180.0 - theta_deg)} deg <= 60 deg"
         )
-    if a <= 0:
+    if not a > 0:
         raise ValueError("a must be positive")
     # wide-wedge steps: circumcenter must reach the diametral circle of
     # the longer side, i.e. sqrt(2)(1+delta)/a >= 1/(sin t - cos t)

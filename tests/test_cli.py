@@ -51,6 +51,26 @@ class TestGenerate:
         out = tmp_path / "x.poly"
         assert main(["generate", "pinwheel", "--n", "7", "-o", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (["pav", "--scale", "inf"], "enclosure scale"),
+            (["pinwheel", "--scale", "1e308"], "enclosure scale"),
+            (["pav", "--scale", "nan"], "enclosure scale"),
+            (["pav", "--delta", "nan"], "delta"),
+            (["example2", "--a", "nan"], "a must"),
+        ],
+        ids=["pav-scale-inf", "pinwheel-scale-1e308", "pav-scale-nan",
+             "pav-delta-nan", "example2-a-nan"],
+    )
+    def test_non_finite_params_are_input_error(self, tmp_path, capsys, params,
+                                               message):
+        out = tmp_path / "x.poly"
+        assert main(["generate", *params, "-o", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err
+
 
 class TestRefine:
     def test_diverging_run_outputs(self, tmp_path, capsys):

@@ -216,3 +216,41 @@ class TestExampleConfig:
             ExampleConfig(family=PAV, delta=-1.0)
         with pytest.raises(ValueError):
             ExampleConfig(family=PAV, enclosure_scale=1.0)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ExampleConfig(family=PAV, delta=NAN), "delta"),
+        (lambda: ExampleConfig(family=PAV, delta=INF), "delta"),
+        (lambda: ExampleConfig(family=PAV, enclosure_scale=NAN), "scale"),
+        (lambda: pav(NAN), "delta"),
+        (lambda: pav(INF), "delta"),
+        (lambda: pav(1e-3, NAN), "scale"),
+        (lambda: pav(1e-3, INF), "scale"),
+        (lambda: pinwheel(4, 1e308), "scale"),
+        (lambda: example2(75.0, NAN, 0.0), "a must"),
+        (lambda: example2(75.0, 1.0, NAN), "delta"),
+        (lambda: example2(75.0, 1.0, INF), "delta"),
+        (lambda: enclose(pinwheel(4), NAN), "scale"),
+    ],
+    ids=[
+        "config-delta-nan", "config-delta-inf", "config-scale-nan",
+        "pav-delta-nan", "pav-delta-inf", "pav-scale-nan", "pav-scale-inf",
+        "pinwheel-scale-1e308", "example2-a-nan", "example2-delta-nan",
+        "example2-delta-inf", "enclose-scale-nan",
+    ],
+)
+def test_non_finite_parameter_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_largest_enclosure_side_is_finite():
+    # scale * diam = 2**1023 is the largest side a float can hold
+    p = pinwheel(4, 2.0 ** 1023 / 4.0)
+    assert math.dist(p.vertices[-4], p.vertices[-3]) == 2.0 ** 1023
