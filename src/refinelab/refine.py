@@ -1,7 +1,8 @@
 """The two refinement engines, instrumented with a full event trace.
 
-Both engines drive the same constrained Delaunay structure but differ in
-how a skinny triangle's circumcenter is rejected:
+Both engines drive the same constrained Delaunay structure through one
+loop and one skinny-triangle step, but differ in what rejects a skinny
+triangle's circumcenter:
 
 * the conforming engine (``ruppert``) first splits every subsegment that
   an existing vertex encroaches, and rejects a candidate circumcenter
@@ -18,18 +19,20 @@ how a skinny triangle's circumcenter is rejected:
 Queue discipline: every split is a pop from one FIFO queue of
 subsegments, which is emptied before the next skinny triangle is taken;
 skinny triangles come worst-first with ties broken by creation order.  A
-rejected circumcenter queues the subsegments that rejected it.  The
-conforming engine tests each new vertex and each new subsegment once:
-a circumcenter before it is inserted, a split midpoint and its two
-halves right after the split.  Runs are deterministic: identical inputs
-give bit-identical traces.
+rejected circumcenter queues the subsegments that rejected it; a
+subsegment already queued keeps its place.  A split whose halves are
+shorter than the floor ends the run at once, even when it also spends
+the last of the budget.  The conforming engine tests each new vertex
+and each new subsegment once: a circumcenter before it is inserted, a
+split midpoint and its two halves right after the split.  Runs are
+deterministic: identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -205,17 +208,15 @@ class _Run:
         self.tri = Triangulation.build(pslg)
         if not self.tri.subsegments:
             raise EngineError("refinement needs at least one constraint segment")
-        self.initial_min_len = min(
+        self.floor_len = cfg.min_length_ratio * min(
             s.length for s in self.tri.subsegments.values()
         )
-        self.floor_len = cfg.min_length_ratio * self.initial_min_len
         self.events: list[TraceEvent] = []
         self.insertions = 0
-        self.floor_hit = False
         self._heap: list[tuple[float, int, int]] = []
         self._hseq = 0
-        self._seg_queue: deque[tuple[int, int]] = deque()
-        self._queued: set[tuple[int, int]] = set()
+        # FIFO of subsegments to split; a queued key keeps its place
+        self._seg_queue: OrderedDict[tuple[int, int], None] = OrderedDict()
         # seed in vertex-triple order: triangle numbering is an internal
         # artifact, vertex ids are reproducible
         for tid in sorted(self.tri.triangles, key=self.tri.triangles.get):
@@ -229,23 +230,11 @@ class _Run:
             heapq.heappush(self._heap, (ma, self._hseq, tid))
             self._hseq += 1
 
-    def _pop_skinny(self) -> Optional[tuple[int, float]]:
-        while self._heap:
-            ma, _, tid = heapq.heappop(self._heap)
-            if tid in self.tri.triangles:
-                return tid, ma
-        return None
-
-    def _queue_subseg(self, key: tuple[int, int]) -> None:
-        if key not in self._queued:
-            self._queued.add(key)
-            self._seg_queue.append(key)
-
     def _scan_new_subseg(self, key: tuple[int, int]) -> None:
         """Queue the new subsegment if any existing vertex encroaches it."""
         closed = self.cfg.closed_diametral
         if next(encroaching_vertices(self.tri, key, closed), None) is not None:
-            self._queue_subseg(key)
+            self._seg_queue.setdefault(key)
 
     # -- events ---------------------------------------------------------------
 
@@ -257,7 +246,8 @@ class _Run:
 
     # -- mesh operations --------------------------------------------------------
 
-    def _split(self, key: tuple[int, int]) -> None:
+    def _split(self, key: tuple[int, int]) -> float:
+        """Split the subsegment and return its children's length."""
         rec = self.tri.subsegments[key]
         mid_vid, children, res = self.tri.split_subsegment(*key)
         self.insertions += 1
@@ -274,19 +264,10 @@ class _Run:
         if self.algorithm == RUPPERT:
             closed = self.cfg.closed_diametral
             for other in encroached_subsegs(self.tri, mid, closed):
-                self._queue_subseg(other)
+                self._seg_queue.setdefault(other)
             for child in children:
                 self._scan_new_subseg(child)
-        if rec.length / 2.0 < self.floor_len:
-            self.floor_hit = True
-
-    def _insert_circumcenter(self, c: Point, start: int,
-                             min_angle: float) -> None:
-        res = self.tri.insert_vertex(c, CIRCUMCENTER, start=start)
-        self.insertions += 1
-        self._emit(CIRCUMCENTER_INSERT, min_angle=min_angle, x=c.x, y=c.y)
-        for tid in res.created:
-            self._consider_triangle(tid)
+        return rec.length / 2.0
 
     def _finish(self, status: str) -> RefinementOutcome:
         return RefinementOutcome(
@@ -301,72 +282,62 @@ class _Run:
     # -- engines ------------------------------------------------------------------
 
     def run(self) -> RefinementOutcome:
-        conforming = self.algorithm == RUPPERT
-        if conforming:
+        if self.algorithm == RUPPERT:
             for key in self.tri.subsegments:
                 self._scan_new_subseg(key)
-        while True:
-            if self.floor_hit:
-                return self._finish(DIVERGENCE_FLOOR_HIT)
-            if self.insertions >= self.cfg.max_insertions:
-                return self._finish(BUDGET_EXHAUSTED)
+        while self.insertions < self.cfg.max_insertions:
             if self._seg_queue:
-                key = self._seg_queue.popleft()
-                self._queued.discard(key)
-                self._split(key)
-                continue
-            skinny = self._pop_skinny()
-            if skinny is None:
+                key, _ = self._seg_queue.popitem(last=False)
+                if self._split(key) < self.floor_len:
+                    return self._finish(DIVERGENCE_FLOOR_HIT)
+            elif not self._heap:
                 return self._finish(TERMINATED)
-            if conforming:
-                self._process_skinny_ruppert(*skinny)
             else:
-                self._process_skinny_chew2(*skinny)
+                ma, _, tid = heapq.heappop(self._heap)
+                if tid in self.tri.triangles:  # else an earlier step removed it
+                    self._process_skinny(tid, ma)
+        return self._finish(BUDGET_EXHAUSTED)
 
-    def _process_skinny_ruppert(self, tid: int, ma: float) -> None:
+    def _process_skinny(self, tid: int, ma: float) -> None:
+        """Insert the triangle's circumcenter unless a subsegment blocks it;
+        otherwise queue the blockers to be split."""
         pa, pb, pc = self.tri.triangle_points(tid)
         c = circumcenter(pa, pb, pc)
-        closed = self.cfg.closed_diametral
-        encroached = list(encroached_subsegs(self.tri, c, closed))
-        if encroached:
-            self._emit(
-                CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
-                lineage=self.tri.subsegments[encroached[0]].lineage,
-                min_angle=ma,
-                x=c.x,
-                y=c.y,
-            )
-            for key in encroached:
-                self._queue_subseg(key)
+        if self.algorithm == RUPPERT:
+            # blocked by every subsegment whose diametral circle holds c
+            closed = self.cfg.closed_diametral
+            blockers = list(encroached_subsegs(self.tri, c, closed))
         else:
-            self._insert_circumcenter(c, tid, ma)
-
-    def _process_skinny_chew2(self, tid: int, ma: float) -> None:
-        pa, pb, pc = self.tri.triangle_points(tid)
-        c = circumcenter(pa, pb, pc)
-        g = Point((pa.x + pb.x + pc.x) / 3.0, (pa.y + pb.y + pc.y) / 3.0)
-        blocked = self.tri.first_constraint_crossing(g, c)
-        if blocked is None:
-            self._insert_circumcenter(c, tid, ma)
+            # blocked by the first subsegment between the triangle and c
+            g = Point((pa.x + pb.x + pc.x) / 3.0, (pa.y + pb.y + pc.y) / 3.0)
+            crossed = self.tri.first_constraint_crossing(g, c)
+            blockers = [] if crossed is None else [crossed]
+        if not blockers:
+            res = self.tri.insert_vertex(c, CIRCUMCENTER, start=tid)
+            self.insertions += 1
+            self._emit(CIRCUMCENTER_INSERT, min_angle=ma, x=c.x, y=c.y)
+            for t in res.created:
+                self._consider_triangle(t)
             return
-        rec = self.tri.subsegments[blocked]
         self._emit(
             CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
-            lineage=rec.lineage,
+            lineage=self.tri.subsegments[blockers[0]].lineage,
             min_angle=ma,
             x=c.x,
             y=c.y,
         )
-        doomed = list(
-            encroaching_vertices(self.tri, blocked, True, CIRCUMCENTER)
-        )
-        for vid in doomed:
-            p = self.tri.points[vid]
-            res = self.tri.delete_vertex(vid)
-            self._emit(VERTEX_DELETED, x=p.x, y=p.y)
-            for t in res.created:
-                self._consider_triangle(t)
-        self._queue_subseg(blocked)
+        if self.algorithm == CHEW2:
+            doomed = list(
+                encroaching_vertices(self.tri, blockers[0], True, CIRCUMCENTER)
+            )
+            for vid in doomed:
+                p = self.tri.points[vid]
+                res = self.tri.delete_vertex(vid)
+                self._emit(VERTEX_DELETED, x=p.x, y=p.y)
+                for t in res.created:
+                    self._consider_triangle(t)
+        for key in blockers:
+            self._seg_queue.setdefault(key)
 
 
 def ruppert(pslg: Pslg, cfg: RefinementConfig) -> RefinementOutcome:
