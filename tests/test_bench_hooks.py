@@ -1,0 +1,42 @@
+"""The benchmark's tracer wraps refinelab's functions by name; a renamed
+or inlined function would only show as a crash of a traced benchmark
+run.  This runs the tracer's hooks on two short engine runs."""
+
+import importlib
+import os
+
+from refinelab import analysis, cdt, cli, geom, pslg, refine
+from refinelab.generators import pinwheel
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+OWNERS = (geom, pslg, cdt, refine, analysis, cli, cdt.Triangulation,
+          refine.RefinementTrace)
+
+
+def test_tracer_attaches_and_restores(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = sum(
+            vars(owner)[name] is not value
+            for owner, attrs in zip(OWNERS, before)
+            for name, value in attrs.items()
+        )
+        cfg = refine.RefinementConfig(alpha_deg=31, max_insertions=50)
+        refine.ruppert(pinwheel(4), cfg)
+        refine.chew2(pinwheel(4), cfg)
+        m = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert patched > 0
+    assert m["refine.events.split"] + m["refine.events.circumcenter"] == 100
+    # calls through each wrapped name reach its wrapper
+    for key in ("geom.encroaches_calls", "cdt.insert_calls", "cdt.split_calls",
+                "cdt.delete_calls", "cdt.crossing_calls"):
+        assert m[key] > 0, key
+    for owner, attrs in zip(OWNERS, before):
+        for name, value in attrs.items():
+            assert vars(owner)[name] is value, f"{owner.__name__}.{name}"

@@ -4,13 +4,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import refinelab
 from refinelab import refine
 from refinelab.cdt import CIRCUMCENTER
 from refinelab.geom import Point, encroaches
 from refinelab.pslg import Pslg, Segment
-from refinelab.generators import example2, pav, pinwheel
+from refinelab.generators import enclose, example2, pav, pinwheel
 from refinelab.refine import (
     BUDGET_EXHAUSTED,
     CIRCUMCENTER_INSERT,
@@ -360,6 +361,42 @@ class TestTraceAndAudit:
             SEGMENT_SPLIT,
         ))
         assert calls == tested
+
+
+@st.composite
+def enclosed_fans(draw):
+    """2 to 5 arms from the origin, pairwise at least 60 degrees apart,
+    with lengths in [0.5, 2] to three decimals, enclosed at scale 3."""
+    k = draw(st.integers(2, 5))
+    spare = 360 - 60 * k
+    # arm i sits 60 i degrees plus a non-decreasing extra past arm 0
+    extras = sorted(draw(st.lists(st.integers(0, spare), min_size=k - 1,
+                                  max_size=k - 1)))
+    start = draw(st.integers(0, 359))
+    dirs = [start] + [start + 60 * i + e for i, e in enumerate(extras, 1)]
+    lengths = draw(st.lists(st.integers(500, 2000), min_size=k, max_size=k))
+    tips = tuple(
+        Point(n / 1000 * math.cos(math.radians(d)),
+              n / 1000 * math.sin(math.radians(d)))
+        for n, d in zip(lengths, dirs)
+    )
+    return enclose(Pslg(
+        (Point(0.0, 0.0),) + tips,
+        tuple(Segment(0, i) for i in range(1, k + 1)),
+    ), 3.0)
+
+
+class TestChew2Guarantee:
+    # inside chew2's termination guarantee: no input angle below 60 deg
+    # and alpha at most 26.5 deg (Shewchuk 2002)
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(p=enclosed_fans())
+    def test_terminates_clean_on_enclosed_fans(self, p):
+        for alpha in (20, 25):
+            out = chew2(p, RefinementConfig(alpha_deg=alpha, max_insertions=3000))
+            assert out.status == TERMINATED
+            assert audit(out) == []
+            assert out.triangulation.check() == []
 
 
 class TestExample2Spiral:
