@@ -251,6 +251,7 @@ def test_non_finite_parameter_rejected(build, message):
 
 
 def test_largest_enclosure_side_is_finite():
-    # scale * diam = 2**1023 is the largest side a float can hold
+    # scale * diam rounds up to a side of 2**1023, the largest power of
+    # two a float holds
     p = pinwheel(4, 2.0 ** 1023 / 4.0)
     assert math.dist(p.vertices[-4], p.vertices[-3]) == 2.0 ** 1023
