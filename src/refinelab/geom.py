@@ -159,7 +159,10 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> CircleSide:
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> Point:
-    """Circumcenter of triangle abc; raises on collinear input."""
+    """Circumcenter of triangle abc; raises on collinear input, and on a
+    triangle whose centre float arithmetic cannot represent (a float
+    determinant of zero, or a non-finite centre: coordinates of wildly
+    different or huge magnitudes)."""
     if orient_sign(a[0], a[1], b[0], b[1], c[0], c[1]) == 0:
         raise DegenerateTriangleError("collinear points have no circumcenter")
     bx = b[0] - a[0]
@@ -167,11 +170,17 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
     cx = c[0] - a[0]
     cy = c[1] - a[1]
     d = 2.0 * (bx * cy - by * cx)
+    if d == 0.0:
+        raise DegenerateTriangleError(
+            "triangle is too thin for a float circumcenter"
+        )
     bl = bx * bx + by * by
     cl = cx * cx + cy * cy
-    ux = (cy * bl - by * cl) / d
-    uy = (bx * cl - cx * bl) / d
-    return Point(a[0] + ux, a[1] + uy)
+    x = a[0] + (cy * bl - by * cl) / d
+    y = a[1] + (bx * cl - cx * bl) / d
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DegenerateTriangleError("circumcenter is not a finite point")
+    return Point(x, y)
 
 
 def _vertex_angle(ox, oy, px, py, qx, qy) -> float:
@@ -185,15 +194,18 @@ def _vertex_angle(ox, oy, px, py, qx, qy) -> float:
 
 
 def min_angle_deg(a: Point, b: Point, c: Point) -> float:
-    """Smallest interior angle of triangle abc, in degrees."""
+    """Smallest interior angle of triangle abc, in degrees; raises when
+    float arithmetic cannot give the angles."""
     if orient_sign(a[0], a[1], b[0], b[1], c[0], c[1]) == 0:
         raise DegenerateTriangleError("degenerate triangle has no angles")
-    ang = min(
+    angles = (
         _vertex_angle(a[0], a[1], b[0], b[1], c[0], c[1]),
         _vertex_angle(b[0], b[1], c[0], c[1], a[0], a[1]),
         _vertex_angle(c[0], c[1], a[0], a[1], b[0], b[1]),
     )
-    return math.degrees(ang)
+    if math.isnan(sum(angles)):  # a product overflowed
+        raise DegenerateTriangleError("triangle angles overflow float range")
+    return math.degrees(min(angles))
 
 
 def encroaches(p: Point, a: Point, b: Point, closed: bool = False) -> bool:

@@ -156,6 +156,22 @@ class TestRefine:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alg", ["ruppert", "chew2"])
+    @pytest.mark.parametrize("scale", ["1e20", "1e300"])
+    def test_huge_coordinates_are_input_error(self, tmp_path, capsys, scale,
+                                              alg):
+        # at 1e20 a thin triangle's float circumcenter divides by zero; at
+        # 1e300 its angles overflow to NaN and would never be queued
+        poly = tmp_path / "huge.poly"
+        assert main(["generate", "pinwheel", "--scale", scale,
+                     "-o", str(poly)]) == 0
+        capsys.readouterr()
+        code = main(["refine", str(poly), "--alg", alg, "--alpha", "20",
+                     "--out-prefix", str(tmp_path / "huge")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not (tmp_path / "huge.report.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         poly = tmp_path / "pin4.poly"
         main(["generate", "pinwheel", "--n", "4", "-o", str(poly)])

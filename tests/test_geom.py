@@ -164,6 +164,22 @@ class TestCircumcenter:
         with pytest.raises(DegenerateTriangleError):
             circumcenter(Point(0, 0), Point(1, 1), Point(2, 2))
 
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            # far from bc, whose ends differ from a only below a's ulp: the
+            # float determinant cancels to 0.0
+            (Point(-1e20, -1e20), Point(0, -1), Point(-1, 0)),
+            # the centre's coordinates overflow
+            (Point(0, 0), Point(1e300, 0), Point(0, 1e300)),
+        ],
+        ids=["zero-determinant", "overflow"],
+    )
+    def test_unrepresentable_centre_raises(self, a, b, c):
+        assert orient2d(a, b, c) is Orientation.CCW
+        with pytest.raises(DegenerateTriangleError):
+            circumcenter(a, b, c)
+
 
 class TestMinAngle:
     def test_right_triangle_arctan(self):
@@ -199,6 +215,14 @@ class TestMinAngle:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateTriangleError):
             min_angle_deg(Point(0, 0), Point(1, 0), Point(2, 0))
+
+    def test_overflowing_angles_raise(self):
+        # the dot product at the origin is inf - inf, a NaN angle
+        a, b, c = Point(0, 0), Point(1e300, 1e300), Point(-1e300, 1e300)
+        assert orient2d(a, b, c) is Orientation.CCW
+        for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
+            with pytest.raises(DegenerateTriangleError):
+                min_angle_deg(p, q, r)
 
 
 class TestEncroaches:
