@@ -30,6 +30,7 @@ from .refine import (
 __all__ = [
     "OptimumSolution",
     "DivergenceVerdict",
+    "CascadeChecker",
     "ConvergenceError",
     "ScanError",
     "ScanProbe",
@@ -209,41 +210,41 @@ def _detect_cycle(lineages: list[int]) -> Optional[int]:
     return None
 
 
-def cascade_splits(outcome: RefinementOutcome):
-    """The record subsequence of splits: events setting a new minimum length.
-
-    An unbounded cascade is a shrinking front of ever-smaller
-    subsegments; splits of bounded lengths (cleanup in the front's wake)
-    never set a record and are filtered out here.
-    """
-    records = []
-    best = math.inf
-    for e in outcome.trace.splits():
-        if e.length < best:
-            records.append(e)
-            best = e.length
-    return records
-
-
 _SOLVE_TOL = 1e-13  # solve_optimum's target residual 2-norm
-_WINDOW = 12  # classify judges the last _WINDOW + 1 record splits
+_WINDOW = 12  # a verdict judges the last _WINDOW + 1 record splits
 _RATIO_TOL = 0.01  # relative tolerance on each per-revolution halving
 
 
-def classify(outcome: RefinementOutcome) -> DivergenceVerdict:
-    """Judge a refinement trace: terminated, geometric cascade, or neither.
+class CascadeChecker:
+    """Streaming cascade verdict, fed one split event at a time.
 
-    A DIVERGING verdict needs at least nine trailing record splits
+    It keeps the record splits, those setting a new minimum length, and
+    judges the last ``_WINDOW + 1`` of them at each new record.  An
+    unbounded cascade is a shrinking front of ever-smaller subsegments;
+    splits of bounded lengths (cleanup in the front's wake) never set a
+    record.  A DIVERGING verdict needs at least nine trailing records
     whose lineages repeat with a fixed period and whose lengths halve
-    within 1 % per revolution.  The reported decay ratio is the fitted
-    per-event geometric ratio of the record tail.
+    within 1 % per revolution.  ``feed`` returns whether the verdict is
+    DIVERGING, so it serves as an engine's ``stop`` hook.
     """
-    if outcome.status == TERMINATED:
-        return DivergenceVerdict(status=TERMINATED_V)
-    records = cascade_splits(outcome)
-    if len(records) < 9:
+
+    def __init__(self):
+        self.records: list = []
+        self.verdict = DivergenceVerdict(status=INCONCLUSIVE)
+
+    def feed(self, event) -> bool:
+        if not self.records or event.length < self.records[-1].length:
+            self.records.append(event)
+            self.verdict = _judge(self.records[-(_WINDOW + 1):])
+        return self.verdict.status == DIVERGING
+
+
+def _judge(tail) -> DivergenceVerdict:
+    """Verdict on a tail of record splits.  The decay ratio is the fitted
+    per-event geometric ratio; the lineage cycle is given as its smallest
+    rotation, so it does not depend on where the run ended."""
+    if len(tail) < 9:
         return DivergenceVerdict(status=INCONCLUSIVE)
-    tail = records[-(_WINDOW + 1):]
     lineages = [e.lineage for e in tail]
     period = _detect_cycle(lineages)
     if period is None:
@@ -255,10 +256,31 @@ def classify(outcome: RefinementOutcome) -> DivergenceVerdict:
         if abs(per_rev - 0.5) > _RATIO_TOL * 0.5:
             return DivergenceVerdict(status=INCONCLUSIVE)
     fitted = (lengths[-1] / lengths[0]) ** (1.0 / (usable - 1))
-    cycle = tuple(lineages[-period:])
+    cycle = lineages[-period:]
     return DivergenceVerdict(
-        status=DIVERGING, decay_ratio=fitted, lineage_cycle=cycle
+        status=DIVERGING,
+        decay_ratio=fitted,
+        lineage_cycle=min(tuple(cycle[i:] + cycle[:i]) for i in range(period)),
     )
+
+
+def _fed(outcome) -> CascadeChecker:
+    checker = CascadeChecker()
+    for e in outcome.trace.splits():
+        checker.feed(e)
+    return checker
+
+
+def cascade_splits(outcome: RefinementOutcome):
+    """The record subsequence of splits: events setting a new minimum length."""
+    return _fed(outcome).records
+
+
+def classify(outcome: RefinementOutcome) -> DivergenceVerdict:
+    """Judge a refinement trace: terminated, geometric cascade, or neither."""
+    if outcome.status == TERMINATED:
+        return DivergenceVerdict(status=TERMINATED_V)
+    return _fed(outcome).verdict
 
 
 @dataclass(frozen=True)
@@ -303,9 +325,9 @@ def threshold_scan(
     ``target`` is a Pslg or an ExampleConfig.  Refinement at ``lo`` must
     terminate and at ``hi`` must diverge, otherwise the bracket is
     rejected.  ``tol`` must be at least the float spacing at ``hi``, or
-    a midpoint could round back onto an end of the bracket forever.  An
-    inconclusive probe is retried once with a four times larger
-    insertion budget.
+    a midpoint could round back onto an end of the bracket forever.  Each
+    probe stops at its first DIVERGING verdict.  An inconclusive probe is
+    retried once with a four times larger insertion budget.
     """
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
@@ -320,11 +342,11 @@ def threshold_scan(
 
     def probe(alpha: float) -> ScanProbe:
         cfg = replace(base, alpha_deg=alpha)
-        outcome = engine(pslg, cfg)
+        outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
         verdict = classify(outcome)
         if verdict.status == INCONCLUSIVE:
             cfg = replace(cfg, max_insertions=4 * cfg.max_insertions)
-            outcome = engine(pslg, cfg)
+            outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
             verdict = classify(outcome)
             if verdict.status == INCONCLUSIVE:
                 raise ScanError(

@@ -22,10 +22,14 @@ skinny triangles come worst-first with ties broken by creation order.  A
 rejected circumcenter queues the subsegments that rejected it; a
 subsegment already queued keeps its place.  A split whose halves are
 shorter than the floor ends the run at once, even when it also spends
-the last of the budget.  The conforming engine tests each new vertex
-and each new subsegment once: a circumcenter before it is inserted, a
-split midpoint and its two halves right after the split.  Runs are
-deterministic: identical inputs give bit-identical traces.
+the last of the budget.  An optional ``stop`` hook is then called with
+each split event that did not hit the floor, and ends the run
+``STOPPED`` when it returns true; the threshold scan passes one to end
+a probe at its first DIVERGING verdict, and a run without a hook is
+unchanged.  The conforming engine tests each new vertex and each new
+subsegment once: a circumcenter before it is inserted, a split midpoint
+and its two halves right after the split.  Runs are deterministic:
+identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import heapq
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .cdt import CIRCUMCENTER, Triangulation
 from .geom import Point, circumcenter, encroaches
@@ -48,6 +52,7 @@ __all__ = [
     "TERMINATED",
     "BUDGET_EXHAUSTED",
     "DIVERGENCE_FLOOR_HIT",
+    "STOPPED",
     "RefinementConfig",
     "TraceEvent",
     "RefinementTrace",
@@ -66,6 +71,7 @@ VERTEX_DELETED = "VERTEX_DELETED"
 TERMINATED = "TERMINATED"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 DIVERGENCE_FLOOR_HIT = "DIVERGENCE_FLOOR_HIT"
+STOPPED = "STOPPED"
 
 RUPPERT = "RUPPERT"
 CHEW2 = "CHEW2"
@@ -281,7 +287,8 @@ class _Run:
 
     # -- engines ------------------------------------------------------------------
 
-    def run(self) -> RefinementOutcome:
+    def run(self, stop: Optional[Callable[[TraceEvent], bool]] = None
+            ) -> RefinementOutcome:
         if self.algorithm == RUPPERT:
             for key in self.tri.subsegments:
                 self._scan_new_subseg(key)
@@ -290,6 +297,8 @@ class _Run:
                 key, _ = self._seg_queue.popitem(last=False)
                 if self._split(key) < self.floor_len:
                     return self._finish(DIVERGENCE_FLOOR_HIT)
+                if stop is not None and stop(self.events[-1]):
+                    return self._finish(STOPPED)
             elif not self._heap:
                 return self._finish(TERMINATED)
             else:
@@ -340,14 +349,14 @@ class _Run:
             self._seg_queue.setdefault(key)
 
 
-def ruppert(pslg: Pslg, cfg: RefinementConfig) -> RefinementOutcome:
+def ruppert(pslg: Pslg, cfg: RefinementConfig, stop=None) -> RefinementOutcome:
     """Conforming-Delaunay refinement with diametral-circle encroachment."""
-    return _Run(pslg, cfg, RUPPERT).run()
+    return _Run(pslg, cfg, RUPPERT).run(stop)
 
 
-def chew2(pslg: Pslg, cfg: RefinementConfig) -> RefinementOutcome:
+def chew2(pslg: Pslg, cfg: RefinementConfig, stop=None) -> RefinementOutcome:
     """Constrained-Delaunay refinement with free-vertex deletion."""
-    return _Run(pslg, cfg, CHEW2).run()
+    return _Run(pslg, cfg, CHEW2).run(stop)
 
 
 def audit(outcome: RefinementOutcome, cfg: Optional[RefinementConfig] = None

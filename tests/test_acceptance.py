@@ -161,6 +161,25 @@ def test_criterion_6_threshold_scans():
     assert ok
 
 
+def test_criterion_6_thresholds_are_bit_identical():
+    # the exact bisection results: any change to a probe's verdict moves one
+    plan = [
+        (ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0, 0.1,
+         30.7421875),
+        (ExampleConfig(family=PINWHEEL, n=4), "CHEW2", 25.0, 35.0, 0.1,
+         30.7421875),
+        (ExampleConfig(family=PAV, delta=1e-3), "RUPPERT", 25.0, 32.0, 0.1,
+         30.00390625),
+        (ExampleConfig(family=EXAMPLE2_OPT, delta=1e-3), "RUPPERT", 25.0, 32.0,
+         0.1, 29.51171875),
+        (ExampleConfig(family=PINWHEEL, n=5), "RUPPERT", 30.0, 36.0, 0.2,
+         33.65625),
+    ]
+    got = [threshold_scan(cfg, alg, lo, hi, tol).threshold_deg
+           for cfg, alg, lo, hi, tol, _ in plan]
+    assert got == [want for *_, want in plan]
+
+
 def test_criterion_7_asymmetry():
     p = pav(1e-3)
     cfg = RefinementConfig(alpha_deg=30.5)

@@ -9,6 +9,7 @@ from refinelab.analysis import (
     DIVERGING,
     INCONCLUSIVE,
     TERMINATED_V,
+    CascadeChecker,
     ConvergenceError,
     DivergenceVerdict,
     ScanError,
@@ -169,7 +170,36 @@ class TestClassify:
         assert v.status == status
         if status == DIVERGING:
             assert v.decay_ratio == pytest.approx(2 ** -0.5)
-            assert v.lineage_cycle == (1, 0)
+            assert v.lineage_cycle == (0, 1)
+
+    def test_checker_matches_classify_on_every_prefix(self):
+        out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31))
+        checker = CascadeChecker()
+        for e in out.trace.splits():
+            diverging = checker.feed(e)
+            prefix = RefinementOutcome(
+                BUDGET_EXHAUSTED, None, RefinementTrace(out.trace.events[:e.seq + 1]),
+                0, out.config, out.algorithm,
+            )
+            assert checker.verdict == classify(prefix)
+            assert diverging == (checker.verdict.status == DIVERGING)
+        assert checker.records == cascade_splits(out)
+
+    def test_cycle_starts_at_its_smallest_lineage(self):
+        # the same cascade read at every phase reports one cycle
+        events = [
+            TraceEvent(i, SEGMENT_SPLIT, (i + 3) % 5, 2.0 ** (-i / 5), None,
+                       None, None)
+            for i in range(20)
+        ]
+        cycles = set()
+        for end in range(13, 18):
+            out = RefinementOutcome(
+                BUDGET_EXHAUSTED, None, RefinementTrace(tuple(events[:end])), end,
+                RefinementConfig(alpha_deg=30), "RUPPERT",
+            )
+            cycles.add(classify(out).lineage_cycle)
+        assert cycles == {(0, 1, 2, 3, 4)}
 
     def test_record_subsequence_is_strictly_decreasing(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31))
@@ -217,7 +247,7 @@ class TestThresholdScan:
 
     def test_smallest_tolerance_ends_at_adjacent_floats(self, monkeypatch):
         # a stand-in engine whose runs diverge exactly above 30.1 degrees
-        def engine(pslg, cfg):
+        def engine(pslg, cfg, stop=None):
             return SimpleNamespace(
                 alpha=cfg.alpha_deg, status="", insertions=0,
                 trace=SimpleNamespace(splits=list),

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps refinelab's functions by name; a renamed
 or inlined function would only show as a crash of a traced benchmark
-run.  This runs the tracer's hooks on two short engine runs."""
+run.  This runs the tracer's hooks on two short engine runs and on a
+short threshold scan."""
 
 import importlib
 import os
@@ -13,9 +14,13 @@ OWNERS = (geom, pslg, cdt, refine, analysis, cli, cdt.Triangulation,
           refine.RefinementTrace)
 
 
-def test_tracer_attaches_and_restores(monkeypatch):
+def _tracing(monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
-    tracing = importlib.import_module("tracing")
+    return importlib.import_module("tracing")
+
+
+def test_tracer_attaches_and_restores(monkeypatch):
+    tracing = _tracing(monkeypatch)
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = tracing.Tracer()
     tracer.install()
@@ -40,3 +45,17 @@ def test_tracer_attaches_and_restores(monkeypatch):
     for owner, attrs in zip(OWNERS, before):
         for name, value in attrs.items():
             assert vars(owner)[name] is value, f"{owner.__name__}.{name}"
+
+
+def test_traced_scan_probes_stop_at_their_verdict(monkeypatch):
+    # the probes' stop hook passes through the tracer's wrappers
+    tracer = _tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        result = analysis.threshold_scan(pinwheel(4), "RUPPERT", 25.0, 35.0, 0.5)
+        m = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert m["analysis.probes"] == len(result.probes)
+    assert m["analysis.retries"] == 0
+    assert m["analysis.insertions_after_verdict"] == 0

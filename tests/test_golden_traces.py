@@ -10,6 +10,9 @@ both engines.  The traces pin neither hole carving, constraint routing nor
 triangle ids.  A refactor of the engines or of the triangulation that is
 meant to change no behaviour must leave every digest unchanged; a change
 that alters behaviour on purpose re-records the table and says why.
+Each ``GOLDEN`` run is also rerun with a ``CascadeChecker`` stop hook, as
+a scan probe is, to show that stopping at the first DIVERGING verdict
+keeps the verdict of the full run.
 """
 
 import functools
@@ -20,10 +23,11 @@ import random
 import pytest
 
 from refinelab import generators
+from refinelab.analysis import CascadeChecker, classify
 from refinelab.cdt import Triangulation
 from refinelab.geom import Point
 from refinelab.pslg import Pslg, Segment
-from refinelab.refine import RefinementConfig, chew2, ruppert
+from refinelab.refine import STOPPED, RefinementConfig, chew2, ruppert
 
 def _wedge(deg):
     """Two unit segments from the origin meeting at ``deg`` degrees,
@@ -251,14 +255,36 @@ def test_grid_is_complete():
     assert set(GOLDEN) == open_runs | closed_runs
 
 
-@pytest.mark.parametrize("family,engine,alpha,closed", sorted(GOLDEN))
-def test_trace_digest(family, engine, alpha, closed):
+def _run(family, engine, alpha, closed, stop=None):
     cfg = RefinementConfig(
         alpha_deg=alpha, max_insertions=2000, closed_diametral=closed
     )
-    outcome = ENGINES[engine](_pslg(family), cfg)
-    digest = hashlib.sha256(outcome.trace.to_jsonl().encode()).hexdigest()
+    return ENGINES[engine](_pslg(family), cfg, stop=stop)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_run(family, engine, alpha, closed):
+    """The run's trace text and verdict, shared by the two tests below."""
+    outcome = _run(family, engine, alpha, closed)
+    return outcome.trace.to_jsonl(), classify(outcome)
+
+
+@pytest.mark.parametrize("family,engine,alpha,closed", sorted(GOLDEN))
+def test_trace_digest(family, engine, alpha, closed):
+    text, _ = _full_run(family, engine, alpha, closed)
+    digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDEN[(family, engine, alpha, closed)]
+
+
+@pytest.mark.parametrize("family,engine,alpha,closed", sorted(GOLDEN))
+def test_stopped_run_keeps_the_verdict(family, engine, alpha, closed):
+    text, verdict = _full_run(family, engine, alpha, closed)
+    stopped = _run(family, engine, alpha, closed, stop=CascadeChecker().feed)
+    prefix = stopped.trace.to_jsonl()
+    assert text.startswith(prefix)
+    if stopped.status != STOPPED:
+        assert prefix == text
+    assert classify(stopped) == verdict
 
 
 _SQUARE = (Segment(0, 1), Segment(1, 2), Segment(2, 3), Segment(3, 0))

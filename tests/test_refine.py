@@ -18,6 +18,7 @@ from refinelab.refine import (
     CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
     DIVERGENCE_FLOOR_HIT,
     SEGMENT_SPLIT,
+    STOPPED,
     TERMINATED,
     RefinementConfig,
     RefinementTrace,
@@ -76,6 +77,30 @@ class TestBasics:
         out = engine(pinwheel(4), RefinementConfig(
             alpha_deg=31, max_insertions=floor_at - 1))
         assert (out.status, out.insertions) == (BUDGET_EXHAUSTED, floor_at - 1)
+
+    @pytest.mark.parametrize("engine", [ruppert, chew2])
+    def test_stop_hook_sees_each_split_before_the_floor(self, engine):
+        # a hook that never stops leaves the run as it was; the split that
+        # hits the floor ends the run before the hook is called
+        cfg = RefinementConfig(alpha_deg=31)
+        full = engine(pinwheel(4), cfg)
+        seen = []
+        out = engine(pinwheel(4), cfg, stop=lambda e: seen.append(e) and False)
+        assert out.status == full.status == DIVERGENCE_FLOOR_HIT
+        assert out.trace == full.trace
+        assert seen == full.trace.splits()[:-1]
+
+    @pytest.mark.parametrize("engine", [ruppert, chew2])
+    def test_stop_hook_ends_the_run_after_its_split(self, engine):
+        cfg = RefinementConfig(alpha_deg=31)
+        full = engine(pinwheel(4), cfg)
+        third = full.trace.splits()[2]
+        out = engine(pinwheel(4), cfg, stop=lambda e: e.seq == third.seq)
+        assert out.status == STOPPED
+        assert out.trace.events == full.trace.events[:third.seq + 1]
+        assert out.insertions == sum(
+            e.kind in (SEGMENT_SPLIT, CIRCUMCENTER_INSERT) for e in out.trace.events
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
