@@ -255,36 +255,28 @@ def test_grid_is_complete():
     assert set(GOLDEN) == open_runs | closed_runs
 
 
-def _run(family, engine, alpha, closed, stop=None):
+@pytest.mark.parametrize("family,engine,alpha,closed", sorted(GOLDEN))
+def test_trace_digest(family, engine, alpha, closed):
     cfg = RefinementConfig(
         alpha_deg=alpha, max_insertions=2000, closed_diametral=closed
     )
-    return ENGINES[engine](_pslg(family), cfg, stop=stop)
-
-
-@functools.lru_cache(maxsize=None)
-def _full_run(family, engine, alpha, closed):
-    """The run's trace text and verdict, shared by the two tests below."""
-    outcome = _run(family, engine, alpha, closed)
-    return outcome.trace.to_jsonl(), classify(outcome)
-
-
-@pytest.mark.parametrize("family,engine,alpha,closed", sorted(GOLDEN))
-def test_trace_digest(family, engine, alpha, closed):
-    text, _ = _full_run(family, engine, alpha, closed)
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    outcome = ENGINES[engine](_pslg(family), cfg)
+    digest = hashlib.sha256(outcome.trace.to_jsonl().encode()).hexdigest()
     assert digest == GOLDEN[(family, engine, alpha, closed)]
 
 
 @pytest.mark.parametrize("family,engine,alpha,closed", sorted(GOLDEN))
 def test_stopped_run_keeps_the_verdict(family, engine, alpha, closed):
-    text, verdict = _full_run(family, engine, alpha, closed)
-    stopped = _run(family, engine, alpha, closed, stop=CascadeChecker().feed)
-    prefix = stopped.trace.to_jsonl()
+    cfg = RefinementConfig(
+        alpha_deg=alpha, max_insertions=2000, closed_diametral=closed
+    )
+    full = ENGINES[engine](_pslg(family), cfg)
+    stopped = ENGINES[engine](_pslg(family), cfg, stop=CascadeChecker().feed)
+    text, prefix = full.trace.to_jsonl(), stopped.trace.to_jsonl()
     assert text.startswith(prefix)
     if stopped.status != STOPPED:
         assert prefix == text
-    assert classify(stopped) == verdict
+    assert classify(stopped) == classify(full)
 
 
 _SQUARE = (Segment(0, 1), Segment(1, 2), Segment(2, 3), Segment(3, 0))
