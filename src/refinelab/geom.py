@@ -52,6 +52,18 @@ class DegenerateTriangleError(ValueError):
 _EPS = 1.1102230246251565e-16  # 2**-53
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _INCIRCLE_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+# The bounds above cover rounding relative to the products they sum, but a
+# product that underflows is off by up to 2**-1075 absolutely (half the
+# smallest subnormal); when every product underflows, both sides of the
+# filter test are 0.0.  In orient_sign two such errors enter det directly,
+# so once detsum exceeds this floor they stay below 2**-173 of it, far inside
+# the bounds' eps**2 slack (2**-106); at or below it the exact path decides,
+# unless each product has a zero factor and so is exactly 0.0 (coincident or
+# axis-aligned points, common in inputs).
+# In incircle_sign an underflowed cross product or lift is also multiplied
+# by a lift or a cross product, each at most alift + blift + clift (since
+# |xy| <= (x*x + y*y) / 2), so there the floor is scaled by 1 + that sum.
+_UNDERFLOW_FLOOR = 2.0 ** -900
 
 # Relative dead band within which a point counts as lying exactly on a
 # diametral circle.  Constructed query points (circumcenters, midpoints)
@@ -67,7 +79,10 @@ def orient_sign(ax: float, ay: float, bx: float, by: float,
     detright = (ay - cy) * (bx - cx)
     det = detleft - detright
     detsum = abs(detleft) + abs(detright)
-    if abs(det) >= _CCW_BOUND * detsum:
+    if (
+        detsum > _UNDERFLOW_FLOOR
+        or ((ax == cx or by == cy) and (ay == cy or bx == cx))
+    ) and abs(det) >= _CCW_BOUND * detsum:
         return (det > 0.0) - (det < 0.0)
     return _orient_exact(ax, ay, bx, by, cx, cy)
 
@@ -120,7 +135,8 @@ def incircle_sign(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         + (abs(cdxady) + abs(adxcdy)) * blift
         + (abs(adxbdy) + abs(bdxady)) * clift
     )
-    if abs(det) >= _INCIRCLE_BOUND * permanent:
+    if (permanent > _UNDERFLOW_FLOOR * (1.0 + alift + blift + clift)
+            and abs(det) >= _INCIRCLE_BOUND * permanent):
         return (det > 0.0) - (det < 0.0)
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
 

@@ -9,6 +9,7 @@ significant digits so that write/parse round-trips are exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -158,10 +159,33 @@ def validate(p: Pslg) -> list[Violation]:
         seg_keys[key] = k
         usable.append(k)
 
-    for ii, k1 in enumerate(usable):
+    # Sort and sweep: two segments, or a segment and a vertex, can meet only
+    # if their closed bounding boxes overlap.  The box tests are exact float
+    # comparisons, so they drop no contact the predicates would find.
+    box = {}
+    for k in usable:
+        a, b = p.vertices[p.segments[k].a], p.vertices[p.segments[k].b]
+        box[k] = (min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]), max(a[1], b[1]))
+    by_x = sorted(usable, key=lambda k: box[k][0])
+    partners: dict[int, list[int]] = {k: [] for k in usable}
+    for i, k in enumerate(by_x):
+        _, x1, y0, y1 = box[k]
+        for j in range(i + 1, len(by_x)):
+            m = by_x[j]
+            mx0, _, my0, my1 = box[m]
+            if mx0 > x1:
+                break
+            if my0 <= y1 and y0 <= my1:
+                partners[min(k, m)].append(max(k, m))
+    xs = sorted((v[0], j) for j, v in enumerate(p.vertices) if finite[j])
+    xkeys = [x for x, _ in xs]
+
+    # report per segment in input order: its crossings, then the vertices
+    # in its interior (which break constraint recovery)
+    for k1 in usable:
         s1 = p.segments[k1]
         a1, b1 = p.vertices[s1.a], p.vertices[s1.b]
-        for k2 in usable[ii + 1 :]:
+        for k2 in sorted(partners[k1]):
             s2 = p.segments[k2]
             shared = len({s1.a, s1.b} & {s2.a, s2.b})
             a2, b2 = p.vertices[s2.a], p.vertices[s2.b]
@@ -173,13 +197,13 @@ def validate(p: Pslg) -> list[Violation]:
                         f"segments {k1} and {k2} intersect away from shared endpoints",
                     )
                 )
-        # vertices lying in a segment's interior break constraint recovery
-        for j, v in enumerate(p.vertices):
-            if j in (s1.a, s1.b) or not finite[j]:
-                continue
+        x0, x1 = box[k1][:2]
+        for j in sorted(j for _, j in xs[bisect_left(xkeys, x0):bisect_right(xkeys, x1)]):
+            v = p.vertices[j]
             if (
-                orient_sign(a1[0], a1[1], b1[0], b1[1], v[0], v[1]) == 0
+                j not in (s1.a, s1.b)
                 and _on_closed_segment(a1, b1, v)
+                and orient_sign(a1[0], a1[1], b1[0], b1[1], v[0], v[1]) == 0
             ):
                 out.append(
                     Violation(

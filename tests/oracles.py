@@ -165,3 +165,79 @@ def _proper_cross(p1, q1, p2, q2) -> bool:
     o3 = orient_oracle(p2, q2, p1)
     o4 = orient_oracle(p2, q2, q1)
     return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def validate_oracle(p):
+    """`(kind, where)` of every violation `pslg.validate` should report.
+
+    The all-pairs definition: each usable segment, in input order, is
+    tested against every later usable segment and then against every
+    finite vertex, with exact orientations.
+    """
+    import math
+
+    verts, segs = p.vertices, p.segments
+    finite = [math.isfinite(v[0]) and math.isfinite(v[1]) for v in verts]
+    out = []
+    first_at = {}
+    for i, v in enumerate(verts):
+        if not finite[i]:
+            out.append(("nonfinite_vertex", (i,)))
+        elif (v[0], v[1]) in first_at:
+            out.append(("duplicate_vertex", (first_at[(v[0], v[1])], i)))
+        else:
+            first_at[(v[0], v[1])] = i
+    for i, h in enumerate(p.holes):
+        if not (math.isfinite(h[0]) and math.isfinite(h[1])):
+            out.append(("nonfinite_hole", (i,)))
+
+    first_seg = {}
+    usable = []
+    for k, s in enumerate(segs):
+        if not (0 <= s.a < len(verts) and 0 <= s.b < len(verts)):
+            out.append(("bad_index", (k,)))
+        elif not (finite[s.a] and finite[s.b]):
+            continue
+        elif s.a == s.b or verts[s.a] == verts[s.b]:
+            out.append(("zero_length", (k,)))
+        elif frozenset((s.a, s.b)) in first_seg:
+            out.append(("duplicate_segment", (first_seg[frozenset((s.a, s.b))], k)))
+        else:
+            first_seg[frozenset((s.a, s.b))] = k
+            usable.append(k)
+
+    def in_box(a, b, c):
+        return (
+            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+        )
+
+    for ii, k1 in enumerate(usable):
+        s1 = segs[k1]
+        a1, b1 = verts[s1.a], verts[s1.b]
+        for k2 in usable[ii + 1:]:
+            s2 = segs[k2]
+            a2, b2 = verts[s2.a], verts[s2.b]
+            if not {s1.a, s1.b} & {s2.a, s2.b}:
+                bad = segments_cross_oracle(a1, b1, a2, b2)
+            else:
+                # sharing an endpoint, they may meet only there: a collinear
+                # pair must not hold a further endpoint of the other
+                bad = (
+                    orient_oracle(a1, b1, a2) == 0
+                    and orient_oracle(a1, b1, b2) == 0
+                    and any(
+                        q != sa and q != sb and in_box(sa, sb, q)
+                        for q, sa, sb in (
+                            (a2, a1, b1), (b2, a1, b1), (a1, a2, b2), (b1, a2, b2)
+                        )
+                    )
+                )
+            if bad:
+                out.append(("improper_intersection", (k1, k2)))
+        for j, v in enumerate(verts):
+            if j not in (s1.a, s1.b) and finite[j] and (
+                orient_oracle(a1, b1, v) == 0 and in_box(a1, b1, v)
+            ):
+                out.append(("vertex_on_segment", (j, k1)))
+    return out

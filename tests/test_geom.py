@@ -11,6 +11,7 @@ from refinelab.geom import (
     circumcenter,
     encroaches,
     incircle,
+    incircle_sign,
     min_angle_deg,
     orient2d,
 )
@@ -31,6 +32,10 @@ class TestOrient2d:
     def test_tiny_height_still_ccw(self):
         # height 1e-300 is far below any epsilon-based comparison
         assert orient2d(Point(0, 0), Point(1, 0), Point(0.5, 1e-300)) is Orientation.CCW
+
+    def test_underflowing_products_still_exact(self):
+        # both products round to 0.0, so the float filter alone says collinear
+        assert orient2d(Point(0, 0), Point(1e-200, 0), Point(0, 1e-200)) is Orientation.CCW
 
     def test_agrees_with_rational_oracle_random(self):
         rng = random.Random(1234)
@@ -77,6 +82,19 @@ class TestIncircle:
         a, b, c = Point(0, 0), Point(0, 1), Point(1, 0)  # CW
         center = circumcenter(a, b, c)
         assert incircle(a, b, c, center) is CircleSide.INSIDE
+
+    def test_underflowing_products_still_exact(self):
+        a, b, c = Point(0, 0), Point(1e-100, 0), Point(0, 1e-100)
+        assert incircle(a, b, c, Point(5e-101, 5e-101)) is CircleSide.INSIDE
+
+    def test_underflowing_cross_product_times_large_lift(self):
+        # a sits 1e41 from d, whose lift magnifies a cross product of b and c
+        # that underflows; the permanent alone is far above any fixed floor
+        pts = [(3.5762786865234375e-07, -3.910784156252166e41),
+               (-7.62939453125e-05, -1.1079574341342883e-126),
+               (9.850888323116103e-288, 0.0), (0.0, 1.58e-321)]
+        got = incircle_sign(*(x for p in pts for x in p))
+        assert got == incircle_oracle(*pts[:3], pts[3]) * orient_oracle(*pts[:3]) == 1
 
     def test_collinear_raises(self):
         with pytest.raises(DegenerateTriangleError):

@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import refinelab.pslg
 from refinelab.geom import Point
 from refinelab.pslg import (
     PolyParseError,
@@ -12,6 +14,8 @@ from refinelab.pslg import (
     validate,
     write_poly,
 )
+
+from oracles import validate_oracle
 
 
 def square(side=1.0):
@@ -118,8 +122,26 @@ class TestValidate:
                 ((0, 0), (1, 0), (0, 1)), ((0, 1), (1, 0), (1, 2)),
                 [("duplicate_segment", (0, 1))],
             ),
+            # segment 0 is crossed by segment 1 and holds the free vertex 4
+            (
+                ((0, 0), (4, 0), (2, -1), (2, 1), (1, 0)), ((0, 1), (2, 3)),
+                [("improper_intersection", (0, 1)),
+                 ("vertex_on_segment", (4, 0))],
+            ),
+            # sorted by x the segments run 2, 1, 0, and the vertices on
+            # segment 1 run 7, 6: the report keeps input and id order
+            (
+                ((5, -1), (5, 1), (3, 0), (6, 0), (2, -1), (4, 1), (5.5, 0), (4, 0)),
+                ((0, 1), (2, 3), (4, 5)),
+                [("improper_intersection", (0, 1)),
+                 ("improper_intersection", (1, 2)),
+                 ("vertex_on_segment", (6, 1)),
+                 ("vertex_on_segment", (7, 1)),
+                 ("vertex_on_segment", (2, 2))],
+            ),
         ],
-        ids=["overlap", "overlap-reversed", "nested", "disjoint", "repeated"],
+        ids=["overlap", "overlap-reversed", "nested", "disjoint", "repeated",
+             "crossed-and-touched", "right-to-left"],
     )
     def test_segment_pairs_report_in_order(self, points, segments, expected):
         p = Pslg(
@@ -142,6 +164,76 @@ class TestValidate:
         assert [(v.kind, v.where) for v in validate(p)] == [
             ("nonfinite_vertex", (4,))
         ]
+
+
+# a small snapped grid makes shared endpoints, collinear overlaps, vertices
+# on segments, duplicates and zero-length segments common
+_COORD = st.sampled_from([x / 2 for x in range(-2, 5)] * 8 + [math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _grid_pslgs(draw):
+    verts = draw(st.lists(st.builds(Point, _COORD, _COORD), max_size=8))
+    index = st.sampled_from(list(range(len(verts))) * 4 + [-1, len(verts)])
+    segs = draw(st.lists(st.builds(Segment, index, index), max_size=10))
+    holes = draw(st.lists(st.builds(Point, _COORD, _COORD), max_size=2))
+    return Pslg(tuple(verts), tuple(segs), tuple(holes))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_grid_pslgs())
+def test_validate_matches_all_pairs_oracle(p):
+    assert [(v.kind, v.where) for v in validate(p)] == validate_oracle(p)
+
+
+def _lattice(k):
+    # k x k disjoint short segments on a unit grid; each box touches its
+    # right neighbour's, so every segment still meets a few candidates
+    verts, segs = [], []
+    for i in range(k):
+        for j in range(k):
+            verts += [Point(i, j), Point(i + 1, j + 0.5)]
+            segs.append(Segment(len(verts) - 2, len(verts) - 1))
+    return Pslg(tuple(verts), tuple(segs))
+
+
+class TestValidateScaling:
+    @staticmethod
+    def _calls_per_segment(monkeypatch, p):
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(refinelab.pslg, "orient_sign", counted(refinelab.pslg.orient_sign))
+        monkeypatch.setattr(
+            refinelab.pslg, "_segments_conflict", counted(refinelab.pslg._segments_conflict)
+        )
+        assert validate(p) == []
+        monkeypatch.undo()
+        return calls[0] / len(p.segments)
+
+    def test_predicate_calls_grow_linearly_on_a_lattice(self, monkeypatch):
+        small, mid, large = (
+            self._calls_per_segment(monkeypatch, _lattice(k)) for k in (10, 20, 40)
+        )
+        assert 0 < small <= mid <= large <= 2 * small
+
+    def test_overlapping_x_extents_still_exact(self):
+        # 30 stacked full-width segments, all in one x-extent, crossed by a
+        # vertical one and touched by a free vertex
+        verts = [Point(x, j) for j in range(30) for x in (0.0, 10.0)]
+        verts += [Point(5.0, -1.0), Point(5.0, 40.0), Point(2.5, 7.0)]
+        segs = [Segment(2 * j, 2 * j + 1) for j in range(30)] + [Segment(60, 61)]
+        p = Pslg(tuple(verts), tuple(segs))
+        got = [(v.kind, v.where) for v in validate(p)]
+        assert got == validate_oracle(p)
+        assert got == [("improper_intersection", (j, 30)) for j in range(8)] + [
+            ("vertex_on_segment", (62, 7))
+        ] + [("improper_intersection", (j, 30)) for j in range(8, 30)]
 
 
 class TestMinInputAngle:

@@ -148,6 +148,21 @@ class TestPinwheelCascade:
         assert out.status == TERMINATED
         assert audit(out) == []
 
+    def test_terminates_at_20_scaled_toward_underflow(self):
+        # scaling by a power of two is exact, so the run must not change;
+        # at 2**-300 every orientation product underflows to 0.0
+        p = pinwheel(4)
+        tiny = Pslg(
+            tuple(Point(v.x * 2.0 ** -300, v.y * 2.0 ** -300) for v in p.vertices),
+            p.segments,
+            tuple(Point(h.x * 2.0 ** -300, h.y * 2.0 ** -300) for h in p.holes),
+        )
+        base = ruppert(p, RefinementConfig(alpha_deg=20))
+        out = ruppert(tiny, RefinementConfig(alpha_deg=20))
+        assert (out.status, out.insertions) == (base.status, base.insertions) == (
+            TERMINATED, 13)
+        assert audit(out) == []
+
     def test_pinwheel3_terminates_at_25(self):
         out = ruppert(pinwheel(3), RefinementConfig(alpha_deg=25))
         assert out.status == TERMINATED
