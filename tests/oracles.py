@@ -7,6 +7,7 @@ implementation under test.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -69,29 +70,29 @@ def in_diametral_disk_oracle(p, a, b) -> int:
     return (dot < 0) - (dot > 0)
 
 
+def _in_box(a, b, c) -> bool:
+    """c lies in the closed bounding box of ab (on ab when collinear)."""
+    return (
+        min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
+    )
+
+
 def segments_cross_oracle(p1, q1, p2, q2) -> bool:
     """True when the closed segments share any point (exact)."""
-
-    def on_segment(a, b, c):
-        # c collinear with ab assumed; is c within the bounding box?
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
     o1 = orient_oracle(p1, q1, p2)
     o2 = orient_oracle(p1, q1, q2)
     o3 = orient_oracle(p2, q2, p1)
     o4 = orient_oracle(p2, q2, q1)
     if o1 != o2 and o3 != o4:
         return True
-    if o1 == 0 and on_segment(p1, q1, p2):
+    if o1 == 0 and _in_box(p1, q1, p2):
         return True
-    if o2 == 0 and on_segment(p1, q1, q2):
+    if o2 == 0 and _in_box(p1, q1, q2):
         return True
-    if o3 == 0 and on_segment(p2, q2, p1):
+    if o3 == 0 and _in_box(p2, q2, p1):
         return True
-    if o4 == 0 and on_segment(p2, q2, q1):
+    if o4 == 0 and _in_box(p2, q2, q1):
         return True
     return False
 
@@ -174,8 +175,6 @@ def validate_oracle(p):
     tested against every later usable segment and then against every
     finite vertex, with exact orientations.
     """
-    import math
-
     verts, segs = p.vertices, p.segments
     finite = [math.isfinite(v[0]) and math.isfinite(v[1]) for v in verts]
     out = []
@@ -206,12 +205,6 @@ def validate_oracle(p):
             first_seg[frozenset((s.a, s.b))] = k
             usable.append(k)
 
-    def in_box(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
     for ii, k1 in enumerate(usable):
         s1 = segs[k1]
         a1, b1 = verts[s1.a], verts[s1.b]
@@ -227,7 +220,7 @@ def validate_oracle(p):
                     orient_oracle(a1, b1, a2) == 0
                     and orient_oracle(a1, b1, b2) == 0
                     and any(
-                        q != sa and q != sb and in_box(sa, sb, q)
+                        q != sa and q != sb and _in_box(sa, sb, q)
                         for q, sa, sb in (
                             (a2, a1, b1), (b2, a1, b1), (a1, a2, b2), (b1, a2, b2)
                         )
@@ -237,7 +230,7 @@ def validate_oracle(p):
                 out.append(("improper_intersection", (k1, k2)))
         for j, v in enumerate(verts):
             if j not in (s1.a, s1.b) and finite[j] and (
-                orient_oracle(a1, b1, v) == 0 and in_box(a1, b1, v)
+                orient_oracle(a1, b1, v) == 0 and _in_box(a1, b1, v)
             ):
                 out.append(("vertex_on_segment", (j, k1)))
     return out
