@@ -88,8 +88,9 @@ class TestIncircle:
         assert incircle(a, b, c, Point(5e-101, 5e-101)) is CircleSide.INSIDE
 
     def test_underflowing_cross_product_times_large_lift(self):
-        # a sits 1e41 from d, whose lift magnifies a cross product of b and c
-        # that underflows; the permanent alone is far above any fixed floor
+        # a sits 4e41 from d, and its lift magnifies the cross products of b
+        # and c, which underflow to 0.0; the permanent (about 2e-254) is far
+        # above 2**-900, so an unscaled floor would still trust the filter
         pts = [(3.5762786865234375e-07, -3.910784156252166e41),
                (-7.62939453125e-05, -1.1079574341342883e-126),
                (9.850888323116103e-288, 0.0), (0.0, 1.58e-321)]

@@ -150,7 +150,7 @@ class TestPinwheelCascade:
 
     def test_terminates_at_20_scaled_toward_underflow(self):
         # scaling by a power of two is exact, so the run must not change;
-        # at 2**-300 every orientation product underflows to 0.0
+        # at 2**-300 the degree-four incircle products underflow to 0.0
         p = pinwheel(4)
         tiny = Pslg(
             tuple(Point(v.x * 2.0 ** -300, v.y * 2.0 ** -300) for v in p.vertices),
