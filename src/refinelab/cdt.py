@@ -10,6 +10,14 @@ triangles instead of locating the rounded midpoint, so the split vertex
 can never land outside the domain or leave a sliver over the old edge.
 A vertex's star is walked around it from one incident triangle.
 
+The queries refinement asks are local.  Each subsegment's padded
+diametral box sits in a grid for its power-of-two size and keeps the
+vertices inside it, so the boxes holding a point, and the vertices near
+a subsegment, are found without a scan; every operation keeps this index
+current, and ``check`` compares it with one rebuilt from scratch.  The
+first subsegment crossed on a path is found by walking the triangles
+along it.
+
 All orientation and incircle decisions go through the exact predicates
 in :mod:`refinelab.geom`; ties (cocircular quads) are left unflipped, so
 repeated runs are bit-identical.
@@ -18,7 +26,6 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .geom import (
@@ -88,6 +95,129 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+# a subsegment's padded diametral box: the float midpoint plus or minus
+# length * _BOX_PAD on each axis
+_BOX_PAD = 0.5000005
+
+
+def _in_box(box, x: float, y: float) -> bool:
+    """Whether (x, y) lies in the padded box (mx, my, r, ...) of a
+    subsegment, with the float comparisons the encroachment queries use."""
+    dx = x - box[0]
+    if dx > box[2] or -dx > box[2]:
+        return False
+    dy = y - box[1]
+    return not (dy > box[2] or -dy > box[2])
+
+
+def _box_cells(mx: float, my: float, r: float):
+    """The grid level e and the cells, of side 2**e, that the box covers.
+
+    The box is first widened by a relative 2**-40, more than the rounding
+    of ``x - mx`` and of ``mx + r``, so every float (x, y) that ``_in_box``
+    accepts has ``floor(x * 2**-e)`` in the covered range; 2**e exceeds
+    the widened side, so the box covers at most 2x2 cells.
+    """
+    pad = (abs(mx) + abs(my) + r) * 2.0 ** -40
+    lox, hix = mx - r - pad, mx + r + pad
+    loy, hiy = my - r - pad, my + r + pad
+    e = math.frexp(max(hix - lox, hiy - loy))[1]
+    s = 2.0 ** -e
+    return e, s, [
+        (i, j)
+        for i in range(math.floor(lox * s), math.floor(hix * s) + 1)
+        for j in range(math.floor(loy * s), math.floor(hiy * s) + 1)
+    ]
+
+
+class _BoxIndex:
+    """The subsegments' padded diametral boxes, and the vertices in each.
+
+    Each box sits in the grid of its power-of-two level (see
+    ``_box_cells``); a point query looks up one cell per level and returns
+    the subsegments whose box holds the point in creation order, the order
+    in which ``Triangulation.subsegments`` iterates.  Each subsegment keeps
+    the alive vertices other than its endpoints that lie in its box, in id
+    order.
+    """
+
+    def __init__(self, points: list[Point]):
+        self.points = points
+        self.boxes: dict[tuple[int, int], tuple] = {}  # (mx, my, r, serial)
+        self.levels: dict[int, tuple[float, dict]] = {}  # e: (2**-e, cells)
+        self.inside: dict[tuple[int, int], list[int]] = {}
+        self._serial = 0
+        self._last = None  # the last point query and its answer
+
+    @classmethod
+    def of(cls, points, alive, subsegments) -> "_BoxIndex":
+        index = cls(points)
+        for key, rec in subsegments.items():
+            index.add(key, rec.length, ())
+        for vid, ok in enumerate(alive):
+            if ok:
+                index.add_vertex(vid)
+        return index
+
+    def add(self, key, length: float, candidates) -> None:
+        """Index a new subsegment; its vertices are those of the
+        candidates (in id order) that lie in its box."""
+        a, b = self.points[key[0]], self.points[key[1]]
+        box = ((a[0] + b[0]) * 0.5, (a[1] + b[1]) * 0.5, length * _BOX_PAD,
+               self._serial)
+        self._serial += 1
+        self.boxes[key] = box
+        e, s, cells = _box_cells(*box[:3])
+        grid = self.levels.setdefault(e, (s, {}))[1]
+        for cell in cells:
+            grid.setdefault(cell, []).append(key)
+        pts = self.points
+        self.inside[key] = [w for w in candidates if _in_box(box, *pts[w])]
+        self._last = None
+
+    def remove(self, key) -> list[int]:
+        """Drop a subsegment; returns its vertex list."""
+        box = self.boxes.pop(key)
+        e, _, cells = _box_cells(*box[:3])
+        grid = self.levels[e][1]
+        for cell in cells:
+            keys = grid[cell]
+            keys.remove(key)
+            if not keys:
+                del grid[cell]
+        if not grid:
+            del self.levels[e]
+        self._last = None
+        return self.inside.pop(key)
+
+    def near(self, p) -> list[tuple[int, int]]:
+        """The subsegments whose box holds p, in creation order."""
+        if self._last is not None and self._last[0] == p:
+            return self._last[1]
+        px, py = p
+        floor = math.floor
+        found = []
+        for s, grid in self.levels.values():
+            keys = grid.get((floor(px * s), floor(py * s)))
+            if keys:
+                found += keys
+        boxes = self.boxes
+        if len(found) > 1:
+            found.sort(key=lambda k: boxes[k][3])
+        found = [k for k in found if _in_box(boxes[k], px, py)]
+        self._last = (p, found)
+        return found
+
+    def add_vertex(self, vid: int) -> None:
+        for key in self.near(self.points[vid]):
+            if vid not in key:
+                self.inside[key].append(vid)
+
+    def remove_vertex(self, vid: int) -> None:
+        for key in self.near(self.points[vid]):
+            self.inside[key].remove(vid)
+
+
 class Triangulation:
     def __init__(self):
         self.points: list[Point] = []
@@ -100,6 +230,7 @@ class Triangulation:
         self.holes_carved = 0
         self._next_tid = 0
         self._v2t: dict[int, int] = {}
+        self._index = _BoxIndex(self.points)
 
     # -- low-level structure ------------------------------------------------
 
@@ -135,11 +266,11 @@ class Triangulation:
         return None
 
     def _tri_of_vertex(self, v: int) -> int:
-        # insertion, constraint routing and deletion refill each hole they
-        # make with a triangle at every vertex of its rim, and triangle ids
-        # are never reused, so a recorded triangle that still exists holds
-        # v; only build's final sweeps leave stale entries, on hull and
-        # hole vertices that are never looked up
+        # build records a triangle at every vertex after its final sweeps,
+        # and insertion, constraint routing and deletion refill each hole
+        # they make with a triangle at every vertex of its rim; triangle
+        # ids are never reused, so a recorded triangle that still exists
+        # holds v
         tid = self._v2t.get(v)
         if tid not in self.triangles:
             raise TriangulationError(f"vertex {v} has no incident triangle")
@@ -157,6 +288,18 @@ class Triangulation:
 
     def is_subsegment(self, u: int, v: int) -> bool:
         return _edge_key(u, v) in self.subsegments
+
+    def subsegs_near(self, p: Point) -> list[tuple[int, int]]:
+        """The subsegments whose padded diametral box (the float midpoint
+        plus or minus ``length * 0.5000005`` per axis) holds p, in
+        ``subsegments`` order.  The list is shared; do not change it."""
+        return self._index.near(p)
+
+    def vertices_near(self, key: tuple[int, int]) -> list[int]:
+        """The alive vertices other than key's endpoints in key's padded
+        diametral box, in id order.  The list is shared; do not change
+        it."""
+        return self._index.inside[key]
 
     # -- point location -----------------------------------------------------
 
@@ -231,7 +374,9 @@ class Triangulation:
         """
         seeds = self._cavity_seeds(p, start)
         vid = self._add_vertex(p[0], p[1], tag)
-        return self._insert_in_cavity(vid, seeds)
+        res = self._insert_in_cavity(vid, seeds)
+        self._index.add_vertex(vid)
+        return res
 
     def _cavity_seeds(self, p: Point, start: Optional[int] = None) -> list:
         """Locate p and return the triangles whose interior holds it: one,
@@ -489,6 +634,7 @@ class Triangulation:
         if key not in self.subsegments:
             raise MissingSubsegmentError(f"{key} is not a current subsegment")
         rec = self.subsegments.pop(key)
+        inside = self._index.remove(key)
         pu, pv = self.points[u], self.points[v]
         mid = self._add_vertex(
             (pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0, SEGMENT_MIDPOINT
@@ -497,6 +643,10 @@ class Triangulation:
         children = (_edge_key(u, mid), _edge_key(mid, v))
         for k in children:
             self.subsegments[k] = Subseg(rec.lineage, rec.length / 2.0)
+            # a child's box lies inside its parent's, with about 2.5e-7
+            # of the parent's length to spare on each side
+            self._index.add(k, rec.length / 2.0, inside)
+        self._index.add_vertex(mid)
         return mid, children, res
 
     # -- vertex deletion ---------------------------------------------------------
@@ -515,56 +665,132 @@ class Triangulation:
         for tid in star:
             self._rm_tri(tid)
         created = [self._add_tri(*tri) for tri in self._triangulate_polygon(ring)]
+        self._index.remove_vertex(v)
         self.alive[v] = False
         self._v2t.pop(v, None)
         return InsertResult(v, created, sorted(star))
 
     # -- visibility -----------------------------------------------------------
 
-    def first_constraint_crossing(self, g: Point, c: Point):
+    def first_constraint_crossing(self, g: Point, c: Point,
+                                  start: Optional[int] = None):
         """First constraint subsegment properly crossed on the way g -> c.
 
         Returns the subsegment key, or None when c is reachable.  A c
         lying exactly on a subsegment's interior counts as crossed;
-        passages exactly through segment endpoints do not.
+        passages exactly through segment endpoints, or along a
+        subsegment, do not.  The walk goes through the triangles along
+        g -> c from the one holding g, located from ``start`` as in
+        ``locate``; it ends where the path leaves the triangulation, and
+        a g outside it crosses nothing.
         """
         gx, gy = g
         cx, cy = c
-        lo_x, hi_x = (gx, cx) if gx <= cx else (cx, gx)
-        lo_y, hi_y = (gy, cy) if gy <= cy else (cy, gy)
-        best_t = None
-        best_key = None
+        if gx == cx and gy == cy:
+            return None
         pts = self.points
-        for key in self.subsegments:
-            u, v = key
-            a, b = pts[u], pts[v]
-            # disjoint bounding boxes cannot intersect
-            if a[0] > hi_x and b[0] > hi_x:
+        sides: dict[int, int] = {}
+
+        def side(w):  # the side of the line g -> c that vertex w is on
+            s = sides.get(w)
+            if s is None:
+                p = pts[w]
+                s = sides[w] = orient_sign(gx, gy, cx, cy, p[0], p[1])
+            return s
+
+        def ahead(p, q):  # p strictly past q, both on the line g -> c
+            if cx != gx:
+                return p[0] > q[0] if cx > gx else p[0] < q[0]
+            return p[1] > q[1] if cy > gy else p[1] < q[1]
+
+        # the walk is at vertex w of triangle tid, or, with w None, inside
+        # triangle tid, which the path g -> c runs through
+        where = self.locate(gx, gy, start)
+        w = None
+        if where[0] == "outside":
+            return None
+        if where[0] == "vertex":
+            w = where[1]
+            tid = self._tri_of_vertex(w)
+        elif where[0] == "in":
+            tid = where[1]
+        else:
+            (u, v), tid = where[1], where[2]
+            if side(u) == 0:  # along the edge g lies on
+                w = u if ahead(pts[u], g) else v
+                if not ahead(c, pts[w]):
+                    return None
+            elif side(u) < 0:  # into the triangle across the edge
+                tid = self._neighbor(tid, u, v)
+                if tid is None:
+                    return None
+        while True:
+            if w is None:
+                a, b, d = self.triangles[tid]
+                # the path leaves a CCW triangle through the edge u -> v
+                # that runs from its right to its left, or else through
+                # the one vertex on its line
+                for u, v in ((a, b), (b, d), (d, a)):
+                    if side(u) < 0 < side(v):
+                        break
+                else:
+                    w, v = (a, b) if side(a) == 0 else (
+                        (b, d) if side(b) == 0 else (d, a))
+                    pw, pv = pts[w], pts[v]
+                    if orient_sign(pw[0], pw[1], pv[0], pv[1], cx, cy) >= 0:
+                        return None  # c is in the triangle or at w
+                    continue
+                pu, pv = pts[u], pts[v]
+                o = orient_sign(pu[0], pu[1], pv[0], pv[1], cx, cy)
+                if o > 0:
+                    return None
+                key = _edge_key(u, v)
+                if key in self.subsegments:
+                    return key
+                if o == 0:
+                    return None
+                tid = self._neighbor(tid, u, v)
+                if tid is None:
+                    return None
                 continue
-            if a[0] < lo_x and b[0] < lo_x:
-                continue
-            if a[1] > hi_y and b[1] > hi_y:
-                continue
-            if a[1] < lo_y and b[1] < lo_y:
-                continue
-            o_a = orient_sign(gx, gy, cx, cy, a[0], a[1])
-            o_b = orient_sign(gx, gy, cx, cy, b[0], b[1])
-            if o_a == 0 or o_b == 0 or o_a == o_b:
-                continue
-            o_g = orient_sign(a[0], a[1], b[0], b[1], gx, gy)
-            o_c = orient_sign(a[0], a[1], b[0], b[1], cx, cy)
-            if o_g == 0 or o_c == o_g:
-                continue
-            # exact crossing parameter along g -> c; with g off line ab and
-            # c on it or beyond it, num and den share a sign and
-            # |den| >= |num|, so t lies in (0, 1]
-            num = _exact_area(a, b, (gx, gy))
-            den = num - _exact_area(a, b, (cx, cy))
-            t = num / den
-            if best_t is None or t < best_t:
-                best_t = t
-                best_key = key
-        return best_key
+            # through vertex w: into the triangle around w that the path
+            # enters, or along the edge from w that it follows
+            pw = pts[w]
+            for t in self._fan(w, tid):
+                a, b, d = self.triangles[t]
+                p, q = (b, d) if w == a else (d, a) if w == b else (a, b)
+                if side(p) < 0 < side(q):
+                    w, tid = None, t
+                    break
+                n = p if side(p) == 0 and ahead(pts[p], pw) else (
+                    q if side(q) == 0 and ahead(pts[q], pw) else None)
+                if n is not None:
+                    if not ahead(c, pts[n]):
+                        return None  # c is on the edge or at its end
+                    w, tid = n, t
+                    break
+            else:
+                return None  # the path leaves the triangulation at w
+
+    def _fan(self, v: int, tid: int):
+        """The triangles around vertex v: CCW from tid and, when that
+        walk meets the boundary, CW from tid."""
+        t = tid
+        while True:
+            yield t
+            a, b, c = self.triangles[t]
+            t = self._neighbor(t, v, c if v == a else a if v == b else b)
+            if t == tid:
+                return
+            if t is None:
+                break
+        t = tid
+        while True:
+            a, b, c = self.triangles[t]
+            t = self._neighbor(t, v, b if v == a else c if v == b else a)
+            if t is None:
+                return
+            yield t
 
     # -- audit ------------------------------------------------------------------
 
@@ -596,7 +822,26 @@ class Triangulation:
                 f"Euler relation violated: V={n_v} E={n_e} T={n_t} "
                 f"holes={self.holes_carved}"
             )
+        problems.extend(self._index_differences())
         problems.extend(self.delaunay_violations())
+        return problems
+
+    def _index_differences(self) -> list[str]:
+        """Where the live subsegment index differs from a rebuilt one."""
+        live = self._index
+        fresh = _BoxIndex.of(self.points, self.alive, self.subsegments)
+        problems = []
+        if list(live.boxes) != list(self.subsegments) or any(
+            live.boxes[k][:3] != box[:3] for k, box in fresh.boxes.items()
+        ):
+            problems.append("subsegment boxes differ from a rebuilt index")
+        if live.levels != fresh.levels:
+            problems.append("subsegment box cells differ from a rebuilt index")
+        for key, inside in fresh.inside.items():
+            if live.inside.get(key) != inside:
+                problems.append(
+                    f"vertex list of subsegment {key} differs from a rebuilt index"
+                )
         return problems
 
     def delaunay_violations(self) -> list[str]:
@@ -617,7 +862,7 @@ class Triangulation:
                     <= 0
                 ):
                     continue
-                if self.first_constraint_crossing(Point(gx, gy), pw) is None:
+                if self.first_constraint_crossing((gx, gy), pw, tid) is None:
                     problems.append(
                         f"vertex {w} visibly inside circumcircle of triangle {tid}"
                     )
@@ -658,8 +903,6 @@ class Triangulation:
 
         for tid in [k for k, verts in t.triangles.items() if max(verts) >= s0]:
             t._rm_tri(tid)
-        for s in (s0, s1, s2):
-            del t._v2t[s]
         del t.points[s0:], t.tags[s0:], t.alive[s0:]
 
         for hole in pslg.holes:
@@ -670,11 +913,7 @@ class Triangulation:
             for tid in sorted(t._flood(seeds, lambda tid: True)):
                 t._rm_tri(tid)
             t.holes_carved += 1
+        t._v2t = {v: tid for tid, verts in t.triangles.items() for v in verts}
+        t._index = _BoxIndex.of(t.points, t.alive, t.subsegments)
         return t
 
-
-def _exact_area(a, b, c) -> Fraction:
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cx, cy = Fraction(c[0]), Fraction(c[1])
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)

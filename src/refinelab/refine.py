@@ -160,17 +160,9 @@ def encroached_subsegs(tri: Triangulation, p: Point, closed: bool):
     diametral circle holds p; one with an endpoint at p is skipped."""
     px, py = p
     pts = tri.points
-    for key, rec in tri.subsegments.items():
+    for key in tri.subsegs_near(p):
         a = pts[key[0]]
         b = pts[key[1]]
-        # cheap reject: outside the diametral disk's padded bounding box
-        r = rec.length * 0.5000005
-        dx = px - (a[0] + b[0]) * 0.5
-        if dx > r or -dx > r:
-            continue
-        dy = py - (a[1] + b[1]) * 0.5
-        if dy > r or -dy > r:
-            continue
         if (px == a[0] and py == a[1]) or (px == b[0] and py == b[1]):
             continue
         if encroaches(p, a, b, closed=closed):
@@ -181,30 +173,15 @@ def encroaching_vertices(tri: Triangulation, key: tuple[int, int],
                          closed: bool, tag: Optional[str] = None):
     """Yield, in vertex-id order, each alive vertex (with the given tag, if
     one is given) other than key's endpoints that lies in key's diametral
-    circle.  Endpoints are skipped by coordinates: no two alive vertices
-    coincide."""
+    circle."""
     pts = tri.points
-    alive = tri.alive
     tags = tri.tags
     a = pts[key[0]]
     b = pts[key[1]]
-    mx = (a[0] + b[0]) * 0.5
-    my = (a[1] + b[1]) * 0.5
-    r = tri.subsegments[key].length * 0.5000005
-    for vid in range(len(pts)):
-        if not alive[vid] or (tag is not None and tags[vid] != tag):
-            continue
-        px, py = p = pts[vid]
-        dx = px - mx
-        if dx > r or -dx > r:
-            continue
-        dy = py - my
-        if dy > r or -dy > r:
-            continue
-        if (px == a[0] and py == a[1]) or (px == b[0] and py == b[1]):
-            continue
-        if encroaches(p, a, b, closed=closed):
-            yield vid
+    for vid in tri.vertices_near(key):
+        if tag is None or tags[vid] == tag:
+            if encroaches(pts[vid], a, b, closed=closed):
+                yield vid
 
 
 class _Run:
@@ -319,7 +296,7 @@ class _Run:
         else:
             # blocked by the first subsegment between the triangle and c
             g = Point((pa.x + pb.x + pc.x) / 3.0, (pa.y + pb.y + pc.y) / 3.0)
-            crossed = self.tri.first_constraint_crossing(g, c)
+            crossed = self.tri.first_constraint_crossing(g, c, tid)
             blockers = [] if crossed is None else [crossed]
         if not blockers:
             res = self.tri.insert_vertex(c, CIRCUMCENTER, start=tid)

@@ -2,13 +2,16 @@
 
 Everything here is written directly from definitions (rational
 determinants, exhaustive scans) and deliberately shares no code with the
-implementation under test.
+implementation under test, except ``geom.encroaches``, the definition of
+encroachment that the two whole-mesh encroachment scans below apply.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from refinelab.geom import encroaches
 
 
 def orient_oracle(a, b, c) -> int:
@@ -122,6 +125,64 @@ def first_crossing_oracle(points, subsegments, g, c):
         if 0 < s < 1 and 0 < t <= 1 and (best is None or t < best[0]):
             best = (t, key)
     return None if best is None else best[1]
+
+
+def encroached_subsegs_oracle(tri, p, closed):
+    """Every subsegment whose diametral circle holds p, by a loop over all
+    subsegments in ``tri.subsegments`` order; one with an endpoint at p is
+    skipped.
+
+    ``encroaches`` (with its 1e-12 band) is the definition of the disk
+    test, and the padded box in front of it is the one the engines use, so
+    that the result and the sequence of ``encroaches`` calls are those of
+    the whole-mesh scan; what this checks is the candidate search.
+    """
+    px, py = p
+    pts = tri.points
+    out = []
+    for key, rec in tri.subsegments.items():
+        a = pts[key[0]]
+        b = pts[key[1]]
+        r = rec.length * 0.5000005
+        dx = px - (a[0] + b[0]) * 0.5
+        if dx > r or -dx > r:
+            continue
+        dy = py - (a[1] + b[1]) * 0.5
+        if dy > r or -dy > r:
+            continue
+        if (px == a[0] and py == a[1]) or (px == b[0] and py == b[1]):
+            continue
+        if encroaches(p, a, b, closed=closed):
+            out.append(key)
+    return out
+
+
+def encroaching_vertices_oracle(tri, key, closed, tag=None):
+    """Every alive vertex (with the given tag, if one is given) other than
+    key's endpoints in key's diametral circle, by a loop over all vertices
+    in id order; see ``encroached_subsegs_oracle``."""
+    pts = tri.points
+    a = pts[key[0]]
+    b = pts[key[1]]
+    mx = (a[0] + b[0]) * 0.5
+    my = (a[1] + b[1]) * 0.5
+    r = tri.subsegments[key].length * 0.5000005
+    out = []
+    for vid in range(len(pts)):
+        if not tri.alive[vid] or (tag is not None and tri.tags[vid] != tag):
+            continue
+        px, py = p = pts[vid]
+        dx = px - mx
+        if dx > r or -dx > r:
+            continue
+        dy = py - my
+        if dy > r or -dy > r:
+            continue
+        if (px == a[0] and py == a[1]) or (px == b[0] and py == b[1]):
+            continue
+        if encroaches(p, a, b, closed=closed):
+            out.append(vid)
+    return out
 
 
 def constrained_delaunay_violations(points, triangles, constraint_edges):

@@ -364,3 +364,114 @@ class TestFirstConstraintCrossing:
         assert t.first_constraint_crossing(g, c) == first_crossing_oracle(
             t.points, t.subsegments, g, c
         )
+
+
+def walk_pslg():
+    """The 4x4 square, the segment (1, 1)-(3, 1) and a free vertex at
+    (2, 3)."""
+    return Pslg(
+        vertices=(
+            Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4),
+            Point(1, 1), Point(3, 1), Point(2, 3),
+        ),
+        segments=(
+            Segment(0, 1), Segment(1, 2), Segment(2, 3), Segment(3, 0),
+            Segment(4, 5),
+        ),
+    )
+
+
+def holed_pslg():
+    """The 4x4 square with a square hole (1, 1)-(2, 2) and the segment
+    (3, 0.5)-(3, 1.5)."""
+    return Pslg(
+        vertices=(
+            Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4),
+            Point(1, 1), Point(2, 1), Point(2, 2), Point(1, 2),
+            Point(3, 0.5), Point(3, 1.5),
+        ),
+        segments=tuple(Segment(i, (i + 1) % 4) for i in range(4))
+        + tuple(Segment(4 + i, 4 + (i + 1) % 4) for i in range(4))
+        + (Segment(8, 9),),
+        holes=(Point(1.5, 1.5),),
+    )
+
+
+class TestConstraintWalk:
+    # input, g, c and the first subsegment crossed
+    CASES = {
+        "crossing": (walk_pslg, (2, 0.5), (2, 2), (4, 5)),
+        "through-input-vertex": (walk_pslg, (0.5, 0.5), (1.5, 1.5), None),
+        "through-free-vertex-then-crossing":
+            (walk_pslg, (2, 3.5), (2, 0.5), (4, 5)),
+        "c-on-subsegment-interior": (walk_pslg, (2, 0.5), (2, 1), (4, 5)),
+        "c-at-endpoint": (walk_pslg, (2, 0.5), (3, 1), None),
+        "past-enclosure-corner": (walk_pslg, (3, 3), (5, 5), None),
+        "out-through-boundary": (walk_pslg, (3, 3), (5, 3), (1, 2)),
+        "along-subsegment": (walk_pslg, (0.5, 1), (3.5, 1), None),
+        "along-subsegment-then-out": (walk_pslg, (0.5, 1), (5, 1), (1, 2)),
+        "g-on-subsegment": (walk_pslg, (1.5, 1), (1.5, 3), None),
+        "g-at-vertex": (walk_pslg, (2, 3), (2, 0.5), (4, 5)),
+        "along-boundary-to-corner": (walk_pslg, (4, 2), (4, 5), None),
+        # the fan around a hole corner is open: the way on lies clockwise
+        "past-hole-corner-then-crossing":
+            (holed_pslg, (1, 3), (3.5, 0.5), (8, 9)),
+        "into-hole-through-corners": (holed_pslg, (0.5, 2.5), (2.5, 0.5), None),
+        "into-hole-through-edge": (holed_pslg, (0.5, 1.5), (1.5, 1.5), (4, 7)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_oracle_from_every_start(self, case):
+        pslg, g, c, want = self.CASES[case]
+        g, c = Point(*g), Point(*c)
+        t = Triangulation.build(pslg())
+        assert first_crossing_oracle(t.points, t.subsegments, g, c) == want
+        # locate's walk from a start across the hole stops at its rim and
+        # reports g outside; every other start must give the same answer
+        starts = [s for s in [None] + sorted(t.triangles)
+                  if t.locate(g.x, g.y, s)[0] != "outside"]
+        assert len(starts) > 1
+        for start in starts:
+            assert t.first_constraint_crossing(g, c, start) == want, start
+
+
+class TestBoxIndex:
+    @staticmethod
+    def operated():
+        t = Triangulation.build(walk_pslg())
+        t.split_subsegment(4, 5)
+        v = t.insert_vertex(Point(2.1, 1.2), CIRCUMCENTER).vertex
+        t.insert_vertex(Point(1.5, 2.5), CIRCUMCENTER)
+        t.split_subsegment(2, 3)
+        t.delete_vertex(v)
+        return t
+
+    def test_index_follows_every_operation(self):
+        t = self.operated()
+        assert t.check() == []
+        # vertex 8 was deleted; the free vertex 6 lies on the edge of the
+        # boxes of both halves of the top side
+        assert t.vertices_near((0, 3)) == [4, 6, 7, 9, 10]
+        assert t.vertices_near((4, 7)) == []
+        assert t.subsegs_near(t.points[6]) == [(1, 2), (0, 3), (2, 10), (3, 10)]
+
+    def test_point_query_keeps_creation_order_across_levels(self):
+        t = Triangulation.build(walk_pslg())
+        t.split_subsegment(0, 1)  # halves at the level of (4, 5)
+        _, (older, _), _ = t.split_subsegment(4, 5)  # a new, finer level
+        _, (newer, _), _ = t.split_subsegment(0, 3)  # back at the coarser one
+        assert t.subsegs_near(Point(1.0, 1.2)) == [older, newer]
+
+    def test_corrupt_vertex_list_is_reported(self):
+        t = self.operated()
+        t.vertices_near((0, 3)).remove(9)
+        assert t.check() == [
+            "vertex list of subsegment (0, 3) differs from a rebuilt index"
+        ]
+
+    def test_misplaced_box_is_reported(self):
+        t = self.operated()
+        cells = next(iter(t._index.levels.values()))[1]
+        (i, j), keys = next(iter(cells.items()))
+        cells.setdefault((i + 7, j), []).append(keys.pop())
+        assert t.check() == ["subsegment box cells differ from a rebuilt index"]

@@ -1,14 +1,17 @@
+import functools
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 import refinelab
-from refinelab import refine
-from refinelab.cdt import CIRCUMCENTER
+from refinelab import cdt, refine
+from refinelab.cdt import CIRCUMCENTER, SEGMENT_MIDPOINT, Triangulation
 from refinelab.geom import Point, encroaches
 from refinelab.pslg import Pslg, Segment
 from refinelab.generators import enclose, example2, pav, pinwheel
@@ -451,3 +454,135 @@ class TestExample2Spiral:
     def test_unbalanced_terminates_below_29(self):
         out = ruppert(example2(75.0, 1.0, 1e-3), RefinementConfig(alpha_deg=28.9))
         assert out.status == TERMINATED
+
+
+@functools.lru_cache(maxsize=None)
+def stopped_mesh(family, engine, budget):
+    """The triangulation of a diverging run cut off after ``budget``
+    insertions: splits have happened, and deletions too under chew2."""
+    p, alpha = {"pinwheel5": (pinwheel(5), 34.0), "pav": (pav(1e-3), 33.0)}[family]
+    run = {"ruppert": ruppert, "chew2": chew2}[engine]
+    return run(p, RefinementConfig(alpha_deg=alpha, max_insertions=budget)
+               ).triangulation
+
+
+def _recorded(calls):
+    def record(p, a, b, closed=False):
+        calls.append((tuple(p), tuple(a), tuple(b), closed))
+        return encroaches(p, a, b, closed=closed)
+    return record
+
+
+@st.composite
+def query_point(draw, tri):
+    """A random point over the mesh, a vertex, a subsegment midpoint, a
+    dyadic point on the cell boundaries of a drawn power-of-two grid,
+    or a point on or just past a padded diametral box's edge."""
+    pts = tri.points
+    keys = list(tri.subsegments)
+    key = draw(st.sampled_from(keys))
+    a, b = pts[key[0]], pts[key[1]]
+    mx, my = (a[0] + b[0]) * 0.5, (a[1] + b[1]) * 0.5
+    kind = draw(st.sampled_from(["random", "vertex", "midpoint", "dyadic",
+                                 "box-edge"]))
+    if kind == "random":
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        return Point(draw(st.floats(min(xs) - 1, max(xs) + 1)),
+                     draw(st.floats(min(ys) - 1, max(ys) + 1)))
+    if kind == "vertex":
+        return pts[draw(st.sampled_from(
+            [v for v, ok in enumerate(tri.alive) if ok]))]
+    if kind == "midpoint":
+        return Point(mx, my)
+    if kind == "dyadic":
+        side = 2.0 ** draw(st.integers(-14, 3))
+        return Point(
+            (math.floor(mx / side) + draw(st.integers(-1, 2))) * side,
+            (math.floor(my / side) + draw(st.integers(-1, 2))) * side,
+        )
+    r = tri.subsegments[key].length * 0.5000005
+
+    def edge(m):
+        return draw(st.sampled_from([
+            m - r, m + r, math.nextafter(m - r, -math.inf),
+            math.nextafter(m + r, math.inf), m,
+        ]))
+    return Point(edge(mx), edge(my))
+
+
+class TestLocalQueries:
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_queries_match_whole_mesh_scans(self, data):
+        tri = stopped_mesh(
+            data.draw(st.sampled_from(["pinwheel5", "pav"])),
+            data.draw(st.sampled_from(["ruppert", "chew2"])),
+            data.draw(st.sampled_from([3, 20, 80, 250, 600])),
+        )
+        p = data.draw(query_point(tri))
+        closed = data.draw(st.booleans())
+        tag = data.draw(st.sampled_from([None, CIRCUMCENTER]))
+        # same answers in the same order, through the same encroaches calls
+        got, want = [], []
+        with mock.patch.object(refine, "encroaches", _recorded(got)), \
+                mock.patch.object(oracles, "encroaches", _recorded(want)):
+            hits = list(refine.encroached_subsegs(tri, p, closed))
+            assert hits == oracles.encroached_subsegs_oracle(tri, p, closed)
+            key = data.draw(st.sampled_from(list(tri.subsegments)))
+            for k in [key] + hits:
+                assert list(refine.encroaching_vertices(tri, k, closed, tag)) \
+                    == oracles.encroaching_vertices_oracle(tri, k, closed, tag)
+        assert got == want
+
+    def test_stopped_meshes_have_splits_and_deletions(self):
+        for family in ("pinwheel5", "pav"):
+            tri = stopped_mesh(family, "chew2", 20)
+            assert not all(tri.alive)
+            assert any(tag == SEGMENT_MIDPOINT for tag in tri.tags)
+
+    def test_cost_per_insertion_stays_flat(self, monkeypatch):
+        # candidates each query examines: the boxes a point query tests,
+        # and the listed vertices a vertex query tests
+        tested = 0
+        in_box = cdt._in_box
+
+        def counted(*args):
+            nonlocal tested
+            tested += 1
+            return in_box(*args)
+
+        near, inside = [], []
+        subsegs_near = Triangulation.subsegs_near
+        vertices_near = Triangulation.vertices_near
+
+        def point_query(tri, p):
+            before = tested
+            out = subsegs_near(tri, p)
+            near.append((len(tri.points), tested - before))
+            return out
+
+        def vertex_query(tri, key):
+            out = vertices_near(tri, key)
+            inside.append((len(tri.points), len(out)))
+            return out
+
+        monkeypatch.setattr(cdt, "_in_box", counted)
+        monkeypatch.setattr(Triangulation, "subsegs_near", point_query)
+        monkeypatch.setattr(Triangulation, "vertices_near", vertex_query)
+        out = ruppert(pav(1e-3), RefinementConfig(alpha_deg=31, max_insertions=20000))
+        tri = out.triangulation
+        assert out.insertions > 16000
+        first = len(tri.points) - out.insertions
+
+        def mean(calls, lo, hi):
+            costs = [n for size, n in calls if lo <= size - first < hi]
+            assert costs
+            return sum(costs) / len(costs)
+
+        for calls in (near, inside):
+            early = mean(calls, 0, 2500)
+            late = mean(calls, 10000, math.inf)
+            assert late <= 2 * early
+            assert max(early, late) < 0.05 * min(len(tri.subsegments),
+                                                  sum(tri.alive))
