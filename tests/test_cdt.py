@@ -412,6 +412,8 @@ class TestConstraintWalk:
         "along-subsegment-then-out": (walk_pslg, (0.5, 1), (5, 1), (1, 2)),
         "g-on-subsegment": (walk_pslg, (1.5, 1), (1.5, 3), None),
         "g-at-vertex": (walk_pslg, (2, 3), (2, 0.5), (4, 5)),
+        "g-at-corner": (walk_pslg, (0, 4), (2, 0.5), (4, 5)),
+        "g-at-hole-corner": (holed_pslg, (1, 1), (3.5, 0.5), (8, 9)),
         "along-boundary-to-corner": (walk_pslg, (4, 2), (4, 5), None),
         # the fan around a hole corner is open: the way on lies clockwise
         "past-hole-corner-then-crossing":
