@@ -542,47 +542,44 @@ class TestLocalQueries:
             assert any(tag == SEGMENT_MIDPOINT for tag in tri.tags)
 
     def test_cost_per_insertion_stays_flat(self, monkeypatch):
-        # candidates each query examines: the boxes a point query tests,
-        # and the listed vertices a vertex query tests
-        tested = 0
+        # the candidates the queries examine between one new vertex and the
+        # next: every box test (point queries, and the filtering of a split
+        # subsegment's vertices into its halves) and every vertex that a
+        # vertex query lists
+        examined = 0
+        at_vertex = []
         in_box = cdt._in_box
-
-        def counted(*args):
-            nonlocal tested
-            tested += 1
-            return in_box(*args)
-
-        near, inside = [], []
-        subsegs_near = Triangulation.subsegs_near
+        add_vertex = Triangulation._add_vertex
         vertices_near = Triangulation.vertices_near
 
-        def point_query(tri, p):
-            before = tested
-            out = subsegs_near(tri, p)
-            near.append((len(tri.points), tested - before))
-            return out
+        def box_test(*args):
+            nonlocal examined
+            examined += 1
+            return in_box(*args)
 
         def vertex_query(tri, key):
+            nonlocal examined
             out = vertices_near(tri, key)
-            inside.append((len(tri.points), len(out)))
+            examined += len(out)
             return out
 
-        monkeypatch.setattr(cdt, "_in_box", counted)
-        monkeypatch.setattr(Triangulation, "subsegs_near", point_query)
+        def new_vertex(tri, *args):
+            at_vertex.append(examined)
+            return add_vertex(tri, *args)
+
+        monkeypatch.setattr(cdt, "_in_box", box_test)
         monkeypatch.setattr(Triangulation, "vertices_near", vertex_query)
+        monkeypatch.setattr(Triangulation, "_add_vertex", new_vertex)
         out = ruppert(pav(1e-3), RefinementConfig(alpha_deg=31, max_insertions=20000))
         tri = out.triangulation
-        assert out.insertions > 16000
-        first = len(tri.points) - out.insertions
-
-        def mean(calls, lo, hi):
-            costs = [n for size, n in calls if lo <= size - first < hi]
-            assert costs
-            return sum(costs) / len(costs)
-
-        for calls in (near, inside):
-            early = mean(calls, 0, 2500)
-            late = mean(calls, 10000, math.inf)
-            assert late <= 2 * early
-            assert max(early, late) < 0.05 * min(len(tri.subsegments),
-                                                  sum(tri.alive))
+        assert out.status == DIVERGENCE_FLOOR_HIT and out.insertions > 16000
+        at_vertex.append(examined)
+        # at_vertex[i] is the count when the i-th vertex of the run was
+        # made; the build's input and super vertices come first
+        costs = [b - a for a, b in zip(at_vertex, at_vertex[1:])][-out.insertions:]
+        early = sum(costs[:2500]) / 2500
+        late = sum(costs[10000:]) / len(costs[10000:])
+        assert late <= 2 * early
+        # a whole-mesh scan examines every subsegment for each point and
+        # every alive vertex for each subsegment
+        assert max(early, late) < 0.05 * len(tri.subsegments) < sum(tri.alive)
