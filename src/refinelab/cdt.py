@@ -26,6 +26,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .geom import (
@@ -89,6 +90,13 @@ class InsertResult(NamedTuple):
     vertex: int
     created: list
     removed: list
+
+
+def _exact_area(a, b, c) -> Fraction:
+    ax, ay = Fraction(a[0]), Fraction(a[1])
+    bx, by = Fraction(b[0]), Fraction(b[1])
+    cx, cy = Fraction(c[0]), Fraction(c[1])
+    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -207,6 +215,29 @@ class _BoxIndex:
         found = [k for k in found if _in_box(boxes[k], px, py)]
         self._last = (p, found)
         return found
+
+    def overlapping(self, lox: float, hix: float, loy: float, hiy: float
+                    ) -> list[tuple[int, int]]:
+        """The subsegments with a cell that meets the cells of the
+        rectangle [lox, hix] x [loy, hiy], in creation order.  The widened
+        box of a subsegment holds the whole subsegment, so this includes
+        every subsegment that meets the rectangle.  Each level costs its
+        rectangle cells or its occupied cells, whichever are fewer."""
+        floor = math.floor
+        found = set()
+        for s, grid in self.levels.values():
+            i0, i1 = floor(lox * s), floor(hix * s)
+            j0, j1 = floor(loy * s), floor(hiy * s)
+            if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(grid):
+                for i in range(i0, i1 + 1):
+                    for j in range(j0, j1 + 1):
+                        found.update(grid.get((i, j), ()))
+            else:
+                for (i, j), keys in grid.items():
+                    if i0 <= i <= i1 and j0 <= j <= j1:
+                        found.update(keys)
+        boxes = self.boxes
+        return sorted(found, key=lambda k: boxes[k][3])
 
     def add_vertex(self, vid: int) -> None:
         for key in self.near(self.points[vid]):
@@ -530,18 +561,18 @@ class Triangulation:
         """The triangles around interior vertex v and their far vertices,
         walked CCW from ``_tri_of_vertex(v)``: triangle ``star[i]`` is
         (v, ring[i], ring[i + 1]), cyclically."""
-        tid = start = self._tri_of_vertex(v)
-        star, ring = [], []
-        while True:
+        star, ring, ends = [], [], []
+        for tid in self._fan(v, self._tri_of_vertex(v)):
             a, b, c = self.triangles[tid]
             p, q = (b, c) if v == a else (c, a) if v == b else (a, b)
             star.append(tid)
             ring.append(p)
-            tid = self._neighbor(tid, v, q)
-            if tid is None:
-                raise TriangulationError(f"vertex {v} touches the boundary")
-            if tid == start:
-                return star, ring
+            ends.append(q)
+        # a closed fan is one CCW chain: each triangle's far edge ends
+        # where the next one's starts
+        if ends != ring[1:] + ring[:1]:
+            raise TriangulationError(f"vertex {v} touches the boundary")
+        return star, ring
 
     # -- polygon retriangulation ----------------------------------------------
 
@@ -681,8 +712,9 @@ class Triangulation:
         passages exactly through segment endpoints, or along a
         subsegment, do not.  The walk goes through the triangles along
         g -> c from the one holding g, located from ``start`` as in
-        ``locate``; it ends where the path leaves the triangulation, and
-        a g outside it crosses nothing.
+        ``locate``; where the path leaves the triangulation, into a hole
+        or past the hull, the rest of it is answered from the subsegment
+        index (``_crossing_beyond``).
         """
         gx, gy = g
         cx, cy = c
@@ -708,7 +740,7 @@ class Triangulation:
         where = self.locate(gx, gy, start)
         w = None
         if where[0] == "outside":
-            return None
+            return self._crossing_beyond(g, c, g)
         if where[0] == "vertex":
             w = where[1]
             tid = self._tri_of_vertex(w)
@@ -723,7 +755,7 @@ class Triangulation:
             elif side(u) < 0:  # into the triangle across the edge
                 tid = self._neighbor(tid, u, v)
                 if tid is None:
-                    return None
+                    return self._crossing_beyond(g, c, g)
         while True:
             if w is None:
                 a, b, d = self.triangles[tid]
@@ -751,7 +783,7 @@ class Triangulation:
                     return None
                 tid = self._neighbor(tid, u, v)
                 if tid is None:
-                    return None
+                    return self._crossing_beyond(g, c, pu, pv)
                 continue
             # through vertex w: into the triangle around w that the path
             # enters, or along the edge from w that it follows
@@ -769,8 +801,40 @@ class Triangulation:
                         return None  # c is on the edge or at its end
                     w, tid = n, t
                     break
-            else:
-                return None  # the path leaves the triangulation at w
+            else:  # the path leaves the triangulation at w
+                return self._crossing_beyond(g, c, pw)
+
+    def _crossing_beyond(self, g: Point, c: Point, *before) -> Optional[tuple]:
+        """First subsegment properly crossed on g -> c, where the path
+        has crossed none before it leaves the triangulation at a point in
+        the bounding box of ``before``.  The candidates are the indexed
+        subsegments that meet the bounding box of ``before`` and c, so
+        every crossing still ahead is among them, also one across a hole
+        or on an island inside it."""
+        gx, gy = g
+        cx, cy = c
+        xs = [p[0] for p in before] + [cx]
+        ys = [p[1] for p in before] + [cy]
+        best_t = best_key = None
+        pts = self.points
+        for key in self._index.overlapping(min(xs), max(xs), min(ys), max(ys)):
+            a, b = pts[key[0]], pts[key[1]]
+            o_a = orient_sign(gx, gy, cx, cy, a[0], a[1])
+            o_b = orient_sign(gx, gy, cx, cy, b[0], b[1])
+            if o_a == 0 or o_b == 0 or o_a == o_b:
+                continue
+            o_g = orient_sign(a[0], a[1], b[0], b[1], gx, gy)
+            o_c = orient_sign(a[0], a[1], b[0], b[1], cx, cy)
+            if o_g == 0 or o_c == o_g:
+                continue
+            # exact crossing parameter along g -> c; with g off line ab and
+            # c on it or beyond it, num and den share a sign and
+            # |den| >= |num|, so t lies in (0, 1]
+            num = _exact_area(a, b, g)
+            t = num / (num - _exact_area(a, b, c))
+            if best_t is None or t < best_t:
+                best_t, best_key = t, key
+        return best_key
 
     def _fan(self, v: int, tid: int):
         """The triangles around vertex v: CCW from tid and, when that

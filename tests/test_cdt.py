@@ -397,6 +397,34 @@ def holed_pslg():
     )
 
 
+def islanded_pslg():
+    """The 8x8 square with a square hole (2, 2)-(6, 6) and a square
+    island (3, 3)-(5, 5) inside the hole."""
+    return Pslg(
+        vertices=(
+            Point(0, 0), Point(8, 0), Point(8, 8), Point(0, 8),
+            Point(2, 2), Point(6, 2), Point(6, 6), Point(2, 6),
+            Point(3, 3), Point(5, 3), Point(5, 5), Point(3, 5),
+        ),
+        segments=tuple(
+            Segment(k + i, k + (i + 1) % 4) for k in (0, 4, 8) for i in range(4)
+        ),
+        holes=(Point(2.5, 4),),
+    )
+
+
+def dented_pslg():
+    """Four vertices and one segment, (1, 0.001)-(2, 0), with no segment
+    around them.  The far super-triangle vertex lies in the circumcircle
+    of (0, 0), (1, 0.001), (2, 0), so that triangle is never made: the
+    mesh has a dent below (1, 0.001), and the hull edge (0, 0)-(2, 0) is
+    missing."""
+    return Pslg(
+        vertices=(Point(0, 0), Point(2, 0), Point(1, 0.001), Point(1, 1)),
+        segments=(Segment(2, 1),),
+    )
+
+
 class TestConstraintWalk:
     # input, g, c and the first subsegment crossed
     CASES = {
@@ -420,6 +448,23 @@ class TestConstraintWalk:
             (holed_pslg, (1, 3), (3.5, 0.5), (8, 9)),
         "into-hole-through-corners": (holed_pslg, (0.5, 2.5), (2.5, 0.5), None),
         "into-hole-through-edge": (holed_pslg, (0.5, 1.5), (1.5, 1.5), (4, 7)),
+        # the path leaves the mesh at a hole corner and crosses the rim
+        # on the far side of the hole
+        "into-hole-through-corner-then-rim":
+            (holed_pslg, (0.5, 3), (1.75, 0.5), (4, 5)),
+        "into-hole-through-corner-then-rim-far":
+            (holed_pslg, (0.5, 3), (2.25, -0.5), (4, 5)),
+        "g-on-rim-into-hole": (holed_pslg, (1.5, 2), (1.5, 0.5), (4, 5)),
+        "g-in-hole": (holed_pslg, (1.5, 1.5), (1.5, 0.5), (4, 5)),
+        "g-past-hull": (walk_pslg, (5, 2), (3.5, 2), (1, 2)),
+        "into-hole-through-corner-onto-island":
+            (islanded_pslg, (0.5, 6.75), (5, 4.5), (10, 11)),
+        "through-hole-between-corners":
+            (islanded_pslg, (0.5, 7.5), (7.5, 0.5), None),
+        # out through an edge with no triangle beyond, back through a
+        # subsegment
+        "out-and-back-across-dent":
+            (dented_pslg, (0.25, 0.0005), (1.75, 0.0005), (1, 2)),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -428,13 +473,34 @@ class TestConstraintWalk:
         g, c = Point(*g), Point(*c)
         t = Triangulation.build(pslg())
         assert first_crossing_oracle(t.points, t.subsegments, g, c) == want
-        # locate's walk from a start across the hole stops at its rim and
-        # reports g outside; every other start must give the same answer
-        starts = [s for s in [None] + sorted(t.triangles)
-                  if t.locate(g.x, g.y, s)[0] != "outside"]
-        assert len(starts) > 1
-        for start in starts:
+        # from a start across a hole, locate stops at its rim and reports
+        # g outside; the answer must not depend on it
+        for start in [None] + sorted(t.triangles):
             assert t.first_constraint_crossing(g, c, start) == want, start
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def refined(pslg):
+        return chew2(pslg(), RefinementConfig(alpha_deg=25.0)).triangulation
+
+    # vertices, and points of an eighth-unit grid on and off the mesh, lie
+    # on rims and pass in line through hole corners far more often than
+    # drawn floats do
+    @pytest.mark.parametrize("pslg", [holed_pslg, islanded_pslg])
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_oracle_around_holes(self, pslg, data):
+        t = self.refined(pslg)
+        grid = st.integers(-4, 68).map(lambda k: k / 8)
+        points = st.one_of(
+            st.builds(Point, grid, grid),
+            st.sampled_from([p for p, ok in zip(t.points, t.alive) if ok]),
+        )
+        g, c = data.draw(points), data.draw(points)
+        start = data.draw(st.sampled_from([None] + sorted(t.triangles)))
+        assert t.first_constraint_crossing(g, c, start) == first_crossing_oracle(
+            t.points, t.subsegments, g, c
+        )
 
 
 class TestBoxIndex:
