@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -283,3 +284,61 @@ class TestWriters:
         assert len(polys) == len(tri.triangles)
         fills = {e.get("fill") for e in polys}
         assert "#e05545" in fills  # the designed skinny triangle is highlighted
+
+
+class TestArtifactDigests:
+    """SHA-256 of every file ``refinelab refine`` writes, and of the SVG
+    of a mesh that no engine has touched: a change meant to make the
+    writers faster must leave these bytes unchanged."""
+
+    # (engine, artifact suffix) -> digest, for pinwheel(4) at 31 degrees
+    REFINE = {
+        ("ruppert", "report.json"):
+            "a452855f1b885835f8f4b2229913cc7bb5c2efc4b3892a5af59e75c7010a6a37",
+        ("ruppert", "trace.jsonl"):
+            "0349bb32c0682ad5943a425b56681fa916d188372e00ff55c823cb0ae62ad4e6",
+        ("ruppert", "node"):
+            "3355e6334e2094df0638291d3aaa9c4273c75e0183617467ad25d906a818c01e",
+        ("ruppert", "ele"):
+            "ec4f3ef0432c1cbb7ab0b88519e186c218047ba652e686c98a3e3efc0109c466",
+        ("ruppert", "svg"):
+            "d91b24fa37cafb80dfb1623fb3e04381a3b63c380cf65a3e314c732facef64f7",
+        ("chew2", "report.json"):
+            "926a56e73c622599b1ede4da9ccd0698f3a3a3551b9c884098b44d56ffffe0ee",
+        ("chew2", "trace.jsonl"):
+            "5be3eed1b9a1f1fab9880c99c45f9e4808c7ca169f5d66cc054d738d54314a68",
+        ("chew2", "node"):
+            "fcea6bb2f48efca82bc6b623a9a3bf57b6222147ca22a0872b04d51339b87579",
+        ("chew2", "ele"):
+            "e16467474d7db30d17cff456f25d9e83807c40bc6f00404d26149eaf774b96dd",
+        ("chew2", "svg"):
+            "702c49e95a179e2beaf6c564ad3e2bf300ccfe0c04abacb263de959f7f6c86ea",
+    }
+    # highlight_below_deg -> digest of mesh_to_svg(Triangulation.build(pinwheel(4)))
+    BUILT_SVG = {
+        None: "6834cf497d0cf8d97efb95ba8bf6e83cef989379b0935771add65862d67049c8",
+        31.0: "831f1baafdb0c7d4a48ad64f0a304fe1900fb29b8f03e55a297622234fd9b724",
+    }
+
+    @staticmethod
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    @pytest.mark.parametrize("alg", ["ruppert", "chew2"])
+    def test_refine_artifacts(self, tmp_path, monkeypatch, capsys, alg):
+        # a relative input path keeps report.json free of tmp_path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pin4.poly").write_text(write_poly(pinwheel(4)))
+        code = main(["refine", "pin4.poly", "--alg", alg, "--alpha", "31",
+                     "--no-timestamp"])
+        assert code == 0
+        got = {
+            (alg, suffix): self.sha((tmp_path / f"pin4.{suffix}").read_bytes())
+            for suffix in ("report.json", "trace.jsonl", "node", "ele", "svg")
+        }
+        assert got == {k: v for k, v in self.REFINE.items() if k[0] == alg}
+
+    @pytest.mark.parametrize("highlight", [None, 31.0])
+    def test_svg_of_a_built_mesh(self, highlight):
+        svg = mesh_to_svg(Triangulation.build(pinwheel(4)), highlight)
+        assert self.sha(svg.encode()) == self.BUILT_SVG[highlight]
