@@ -258,8 +258,10 @@ class Triangulation:
         self.edge_map: dict[tuple[int, int], list[int]] = {}
         self.subsegments: dict[tuple[int, int], Subseg] = {}
         self.lineage_root_length: dict[int, float] = {}
-        self.holes_carved = 0
         self._next_tid = 0
+        # min_angle's answers; triangle ids are never reused and points
+        # never move, so an entry holds until its triangle is removed
+        self._angles: dict[int, float] = {}
         self._v2t: dict[int, int] = {}
         self._index = _BoxIndex(self.points)
 
@@ -283,6 +285,7 @@ class Triangulation:
 
     def _rm_tri(self, tid: int) -> None:
         a, b, c = self.triangles.pop(tid)
+        self._angles.pop(tid, None)
         for u, v in ((a, b), (b, c), (c, a)):
             key = _edge_key(u, v)
             flank = self.edge_map[key]
@@ -291,7 +294,7 @@ class Triangulation:
                 del self.edge_map[key]
 
     def _neighbor(self, tid: int, u: int, v: int) -> Optional[int]:
-        for t in self.edge_map.get(_edge_key(u, v), ()):
+        for t in self.edge_map.get((u, v) if u < v else (v, u), ()):
             if t != tid:
                 return t
         return None
@@ -312,7 +315,13 @@ class Triangulation:
         return self.points[a], self.points[b], self.points[c]
 
     def min_angle(self, tid: int) -> float:
-        return min_angle_deg(*self.triangle_points(tid))
+        """``min_angle_deg`` of the triangle's points, computed once."""
+        ma = self._angles.get(tid)
+        if ma is None:
+            a, b, c = self.triangles[tid]
+            pts = self.points
+            ma = self._angles[tid] = min_angle_deg(pts[a], pts[b], pts[c])
+        return ma
 
     def vertex_count(self) -> int:
         return sum(self.alive)
@@ -433,16 +442,19 @@ class Triangulation:
         non-constraint edges through triangles for which admit holds."""
         region = set(seeds)
         stack = list(seeds)
+        triangles, subsegments, edge_map = (
+            self.triangles, self.subsegments, self.edge_map)
         while stack:
             tid = stack.pop()
-            a, b, c = self.triangles[tid]
+            a, b, c = triangles[tid]
             for u, v in ((a, b), (b, c), (c, a)):
-                if _edge_key(u, v) in self.subsegments:
+                key = (u, v) if u < v else (v, u)
+                if key in subsegments:
                     continue
-                n = self._neighbor(tid, u, v)
-                if n is not None and n not in region and admit(n):
-                    region.add(n)
-                    stack.append(n)
+                for n in edge_map[key]:  # tid and the neighbour, if any
+                    if n != tid and n not in region and admit(n):
+                        region.add(n)
+                        stack.append(n)
         return region
 
     def _insert_in_cavity(self, vid: int, seeds: list,
@@ -451,10 +463,12 @@ class Triangulation:
         """Replace the Delaunay cavity of vertex vid, grown from seeds, by a
         fan around vid.  The edge ``split``, which vid subdivides, gets no
         triangle when it lies on the cavity boundary."""
-        x, y = self.points[vid]
+        pts, triangles = self.points, self.triangles
+        x, y = pts[vid]
 
         def in_circumcircle(tid):
-            pa, pb, pc = self.triangle_points(tid)
+            a, b, c = triangles[tid]
+            pa, pb, pc = pts[a], pts[b], pts[c]
             return incircle_sign(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], x, y) > 0
 
         cavity = self._flood(seeds, in_circumcircle)
@@ -463,7 +477,7 @@ class Triangulation:
         ring: dict[int, int] = {}
         n_boundary = 0
         for tid in cavity:
-            a, b, c = self.triangles[tid]
+            a, b, c = triangles[tid]
             for u, v in ((a, b), (b, c), (c, a)):
                 n = self._neighbor(tid, u, v)
                 if n is None or n not in cavity:
@@ -881,14 +895,76 @@ class Triangulation:
         n_v = self.vertex_count()
         n_e = len(rebuilt)
         n_t = len(self.triangles)
-        if n_v - n_e + n_t != 1 - self.holes_carved:
+        topology = self._topology(rebuilt)
+        if topology is None:
+            problems.append("boundary loops cannot be traced")
+        elif n_v - n_e + n_t != 2 * topology[0] - topology[1] - topology[2]:
+            pieces, loops, pinches = topology
             problems.append(
                 f"Euler relation violated: V={n_v} E={n_e} T={n_t} "
-                f"holes={self.holes_carved}"
+                f"pieces={pieces} loops={loops} pinches={pinches}"
             )
+        for tid, ma in self._angles.items():
+            if tid not in self.triangles:
+                problems.append(f"stored min angle of removed triangle {tid}")
+            elif ma != min_angle_deg(*self.triangle_points(tid)):
+                problems.append(f"stored min angle of triangle {tid} is wrong")
         problems.extend(self._index_differences())
         problems.extend(self.delaunay_violations())
         return problems
+
+    def _topology(self, flanks) -> Optional[tuple[int, int, int]]:
+        """The mesh's pieces (triangles joined across shared edges), its
+        boundary loops, and its pinches, from ``flanks`` (edge key to
+        triangles); None when an edge has more than two triangles or the
+        turn around a vertex does not end.  A boundary edge u -> v,
+        directed as in its triangle, is followed by the first boundary
+        edge from v turning around v through the triangles from that one,
+        so each loop keeps the mesh on its left.  A vertex where k
+        boundary edges start is a pinch k - 1 times.  For a planar mesh,
+        V - E + T = 2 * pieces - loops - pinches: each piece is a disk
+        with holes, and un-pinching a vertex into its k fans adds k - 1
+        vertices."""
+        tris = self.triangles
+        if any(len(flank) > 2 for flank in flanks.values()):
+            return None
+        piece = {tid: tid for tid in tris}
+
+        def root(t):
+            while piece[t] != t:
+                piece[t] = t = piece[piece[t]]
+            return t
+
+        follow = {}  # boundary edge (u, v) -> the next one
+        for key, flank in flanks.items():
+            if len(flank) == 2:
+                piece[root(flank[0])] = root(flank[1])
+                continue
+            t = flank[0]
+            a, b, c = tris[t]
+            u, v = next(e for e in ((a, b), (b, c), (c, a))
+                        if _edge_key(*e) == key)
+            for _ in range(len(tris)):  # turn around v to a boundary edge
+                a, b, c = tris[t]
+                w = b if v == a else c if v == b else a
+                nxt = [n for n in flanks[_edge_key(v, w)] if n != t]
+                if not nxt:
+                    break
+                t = nxt[0]
+            else:
+                return None
+            follow[u, v] = (v, w)
+        loops = 0
+        seen = set()
+        for edge in follow:
+            if edge not in seen:
+                loops += 1
+                while edge not in seen:
+                    seen.add(edge)
+                    edge = follow[edge]
+        pieces = sum(1 for t in tris if root(t) == t)
+        pinches = len(follow) - len({u for u, _ in follow})
+        return pieces, loops, pinches
 
     def _index_differences(self) -> list[str]:
         """Where the live subsegment index differs from a rebuilt one."""
@@ -976,7 +1052,6 @@ class Triangulation:
                 continue  # on a vertex or a constraint, or outside the domain
             for tid in sorted(t._flood(seeds, lambda tid: True)):
                 t._rm_tri(tid)
-            t.holes_carved += 1
         t._v2t = {v: tid for tid, verts in t.triangles.items() for v in verts}
         t._index = _BoxIndex.of(t.points, t.alive, t.subsegments)
         return t

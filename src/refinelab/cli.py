@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import analysis, generators
 from .cdt import InvalidPslgError, Triangulation, TriangulationError
-from .geom import min_angle_deg
 from .pslg import Pslg, PolyParseError, min_input_angle_deg, parse_poly, write_poly
 from .refine import (
     CHEW2,
@@ -69,7 +68,8 @@ def write_node(tri: Triangulation) -> str:
     for vid, new in index.items():
         p = tri.points[vid]
         lines.append(f"{new} {_fmt(p.x)} {_fmt(p.y)}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_ele(tri: Triangulation) -> str:
@@ -79,7 +79,8 @@ def write_ele(tri: Triangulation) -> str:
     for i, (_, verts) in enumerate(sorted(tri.triangles.items())):
         a, b, c = verts
         lines.append(f"{i} {index[a]} {index[b]} {index[c]}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None) -> str:
@@ -97,48 +98,48 @@ def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None) ->
     view = (min(xs) - pad, min(ys) - pad, w + 2 * pad, h + 2 * pad)
     scale = _SVG_SIZE / max(view[2], view[3])
     stroke = max(view[2], view[3]) / 1200.0
-
-    def sx(x):
-        return (x - view[0]) * scale
-
-    def sy(y):
-        return (view[1] + view[3] - y) * scale  # flip y for screen coords
+    left, top = view[0], view[1] + view[3]  # flip y for screen coords
+    # each alive vertex's screen x and y, formatted once
+    sx = {}
+    sy = {}
+    for vid, ok in enumerate(tri.alive):
+        if ok:
+            p = tri.points[vid]
+            sx[vid] = f"{(p.x - left) * scale:.3f}"
+            sy[vid] = f"{(top - p.y) * scale:.3f}"
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{view[2] * scale:.1f}" height="{view[3] * scale:.1f}">',
     ]
-    for _, (a, b, c) in sorted(tri.triangles.items()):
-        pa, pb, pc = tri.points[a], tri.points[b], tri.points[c]
-        fill = "#e8e8e8"
+    tail = f'stroke="#777" stroke-width="{stroke * scale:.3f}"/>'
+    plain = f'" fill="#e8e8e8" {tail}'
+    skinny = f'" fill="#e05545" {tail}'
+    for tid, (a, b, c) in sorted(tri.triangles.items()):
+        fill = plain
         if highlight_below_deg is not None:
-            if min_angle_deg(pa, pb, pc) < highlight_below_deg:
-                fill = "#e05545"
-        pts = " ".join(f"{sx(p.x):.3f},{sy(p.y):.3f}" for p in (pa, pb, pc))
+            if tri.min_angle(tid) < highlight_below_deg:
+                fill = skinny
         parts.append(
-            f'<polygon points="{pts}" fill="{fill}" stroke="#777" '
-            f'stroke-width="{stroke * scale:.3f}"/>'
+            f'<polygon points="{sx[a]},{sy[a]} {sx[b]},{sy[b]} '
+            f'{sx[c]},{sy[c]}{fill}'
         )
+    tail = f'stroke="#000" stroke-width="{3 * stroke * scale:.3f}"/>'
     for (u, v) in tri.subsegments:
-        pu, pv = tri.points[u], tri.points[v]
         parts.append(
-            f'<line x1="{sx(pu.x):.3f}" y1="{sy(pu.y):.3f}" '
-            f'x2="{sx(pv.x):.3f}" y2="{sy(pv.y):.3f}" stroke="#000" '
-            f'stroke-width="{3 * stroke * scale:.3f}"/>'
+            f'<line x1="{sx[u]}" y1="{sy[u]}" x2="{sx[v]}" y2="{sy[v]}" {tail}'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("")
+    return "\n".join(parts)
 
 
 def run_report(outcome: RefinementOutcome, source: dict,
                wall_time_s: float | None = None) -> dict:
     tri = outcome.triangulation
-    final_min = None
-    for tid in tri.triangles:
-        ma = tri.min_angle(tid)
-        if final_min is None or ma < final_min:
-            final_min = ma
+    # the engine stored every live triangle's angle as it made it
+    final_min = min(map(tri.min_angle, tri.triangles), default=None)
     shortest = min(s.length for s in tri.subsegments.values())
     initial_min = min(tri.lineage_root_length.values())
     verdict = analysis.classify(outcome)

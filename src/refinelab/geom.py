@@ -199,29 +199,35 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
     return Point(x, y)
 
 
-def _vertex_angle(ox, oy, px, py, qx, qy) -> float:
-    ux = px - ox
-    uy = py - oy
-    vx = qx - ox
-    vy = qy - oy
-    cross = ux * vy - uy * vx
-    dot = ux * vx + uy * vy
-    return math.atan2(abs(cross), dot)
-
-
 def min_angle_deg(a: Point, b: Point, c: Point) -> float:
     """Smallest interior angle of triangle abc, in degrees; raises when
     float arithmetic cannot give the angles."""
-    if orient_sign(a[0], a[1], b[0], b[1], c[0], c[1]) == 0:
+    ax, ay = a[0], a[1]
+    bx, by = b[0], b[1]
+    cx, cy = c[0], c[1]
+    if orient_sign(ax, ay, bx, by, cx, cy) == 0:
         raise DegenerateTriangleError("degenerate triangle has no angles")
-    angles = (
-        _vertex_angle(a[0], a[1], b[0], b[1], c[0], c[1]),
-        _vertex_angle(b[0], b[1], c[0], c[1], a[0], a[1]),
-        _vertex_angle(c[0], c[1], a[0], a[1], b[0], b[1]),
-    )
-    if math.isnan(sum(angles)):  # a product overflowed
+    # the angle at each vertex between its two outgoing edges; each
+    # difference is its own subtraction, because negating b - a gives
+    # -0.0 where a - b gives +0.0, and atan2(0.0, -0.0) is pi
+    abx = bx - ax
+    aby = by - ay
+    acx = cx - ax
+    acy = cy - ay
+    bcx = cx - bx
+    bcy = cy - by
+    bax = ax - bx
+    bay = ay - by
+    cax = ax - cx
+    cay = ay - cy
+    cbx = bx - cx
+    cby = by - cy
+    at_a = math.atan2(abs(abx * acy - aby * acx), abx * acx + aby * acy)
+    at_b = math.atan2(abs(bcx * bay - bcy * bax), bcx * bax + bcy * bay)
+    at_c = math.atan2(abs(cax * cby - cay * cbx), cax * cbx + cay * cby)
+    if math.isnan(at_a + at_b + at_c):  # a product overflowed
         raise DegenerateTriangleError("triangle angles overflow float range")
-    return math.degrees(min(angles))
+    return math.degrees(min(at_a, at_b, at_c))
 
 
 def encroaches(p: Point, a: Point, b: Point, closed: bool = False) -> bool:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .cdt import CIRCUMCENTER, Triangulation
@@ -81,6 +81,10 @@ class EngineError(RuntimeError):
     pass
 
 
+# one encoder for every event; json.dumps would build one per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 @dataclass(frozen=True)
 class RefinementConfig:
     alpha_deg: float
@@ -108,7 +112,10 @@ class TraceEvent:
     y: Optional[float]
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
+        return _encode(vars(self))
+
+
+_EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
 
 
 @dataclass(frozen=True)
@@ -125,23 +132,29 @@ class RefinementTrace:
         return out
 
     def to_jsonl(self) -> str:
-        return "\n".join(e.to_json() for e in self.events) + (
-            "\n" if self.events else ""
-        )
+        lines = [e.to_json() for e in self.events]
+        lines.append("")
+        return "\n".join(lines)
 
     @staticmethod
     def from_jsonl(text: str) -> "RefinementTrace":
+        """Read what ``to_jsonl`` wrote; blank lines are skipped.  Raises
+        ``ValueError`` naming the 1-based line number when a line is not
+        a JSON object or lacks one of ``TraceEvent``'s fields."""
         events = []
-        for line in text.splitlines():
+        for n, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            d = json.loads(line)
-            events.append(
-                TraceEvent(
-                    d["seq"], d["kind"], d["lineage"], d["length"],
-                    d["min_angle_deg"], d["x"], d["y"],
-                )
-            )
+            try:
+                d = json.loads(line)
+            except ValueError as e:
+                raise ValueError(f"trace line {n} is not JSON: {e}") from None
+            if not isinstance(d, dict):
+                raise ValueError(f"trace line {n} is not a JSON object")
+            try:
+                events.append(TraceEvent(*(d[f] for f in _EVENT_FIELDS)))
+            except KeyError as e:
+                raise ValueError(f"trace line {n} has no {e} key") from None
         return RefinementTrace(tuple(events))
 
 

@@ -3,7 +3,9 @@
 Everything here is written directly from definitions (rational
 determinants, exhaustive scans) and deliberately shares no code with the
 implementation under test, except ``geom.encroaches``, the definition of
-encroachment that the two whole-mesh encroachment scans below apply.
+encroachment that the two whole-mesh encroachment scans below apply, and
+``geom.DegenerateTriangleError``, which the reference ``min_angle_deg``
+raises as the real one does.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from refinelab.geom import encroaches
+from refinelab.geom import DegenerateTriangleError, encroaches
 
 
 def orient_oracle(a, b, c) -> int:
@@ -21,6 +23,32 @@ def orient_oracle(a, b, c) -> int:
     cx, cy = Fraction(c[0]), Fraction(c[1])
     det = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     return (det > 0) - (det < 0)
+
+
+def min_angle_deg_oracle(a, b, c) -> float:
+    """The smallest angle of abc, in degrees, as three separate vertex
+    angles: at each vertex, atan2 of the cross and dot products of its
+    two outgoing edges, every edge difference computed afresh."""
+    if orient_oracle(a, b, c) == 0:
+        raise DegenerateTriangleError("degenerate triangle has no angles")
+    angles = (
+        _vertex_angle(a[0], a[1], b[0], b[1], c[0], c[1]),
+        _vertex_angle(b[0], b[1], c[0], c[1], a[0], a[1]),
+        _vertex_angle(c[0], c[1], a[0], a[1], b[0], b[1]),
+    )
+    if math.isnan(sum(angles)):  # a product overflowed
+        raise DegenerateTriangleError("triangle angles overflow float range")
+    return math.degrees(min(angles))
+
+
+def _vertex_angle(ox, oy, px, py, qx, qy) -> float:
+    ux = px - ox
+    uy = py - oy
+    vx = qx - ox
+    vy = qy - oy
+    cross = ux * vy - uy * vx
+    dot = ux * vx + uy * vy
+    return math.atan2(abs(cross), dot)
 
 
 def incircle_oracle(a, b, c, d) -> int:

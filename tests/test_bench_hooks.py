@@ -1,13 +1,15 @@
 """The benchmark's tracer wraps refinelab's functions by name; a renamed
 or inlined function would only show as a crash of a traced benchmark
-run.  This runs the tracer's hooks on two short engine runs and on a
-short threshold scan."""
+run, or as a counter or a timing that stays at zero.  This runs the
+tracer's hooks on two short engine runs, on a short threshold scan and on
+one ``refinelab refine`` call."""
 
 import importlib
 import os
 
 from refinelab import analysis, cdt, cli, geom, pslg, refine
 from refinelab.generators import pinwheel
+from refinelab.pslg import write_poly
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 OWNERS = (geom, pslg, cdt, refine, analysis, cli, cdt.Triangulation,
@@ -39,7 +41,8 @@ def test_tracer_attaches_and_restores(monkeypatch):
     assert patched > 0
     assert m["refine.events.split"] + m["refine.events.circumcenter"] == 100
     # calls through each wrapped name reach its wrapper
-    for key in ("geom.encroaches_calls", "cdt.insert_calls", "cdt.split_calls",
+    for key in ("geom.orient_calls", "geom.incircle_calls",
+                "geom.encroaches_calls", "cdt.insert_calls", "cdt.split_calls",
                 "cdt.delete_calls", "cdt.crossing_calls"):
         assert m[key] > 0, key
     for owner, attrs in zip(OWNERS, before):
@@ -59,3 +62,21 @@ def test_traced_scan_probes_stop_at_their_verdict(monkeypatch):
     assert m["analysis.probes"] == len(result.probes)
     assert m["analysis.retries"] == 0
     assert m["analysis.insertions_after_verdict"] == 0
+
+
+def test_traced_refine_times_every_writer(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pin4.poly").write_text(write_poly(pinwheel(4)))
+    tracer = _tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["refine", "pin4.poly", "--alg", "chew2", "--alpha", "31",
+                         "--no-timestamp"])
+        m = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    for key in ("geom.orient_calls", "geom.incircle_calls", "refine.engine_s",
+                "cli.report_s", "cli.svg_s", "cli.trace_write_s",
+                "cli.mesh_write_s"):
+        assert m[key] > 0, key

@@ -18,7 +18,7 @@ from refinelab.cdt import (
 from refinelab.geom import Point
 from refinelab.generators import pinwheel
 from refinelab.pslg import Pslg, Segment
-from refinelab.refine import RefinementConfig, chew2
+from refinelab.refine import RefinementConfig, chew2, ruppert
 
 from oracles import constrained_delaunay_violations, first_crossing_oracle
 
@@ -543,3 +543,64 @@ class TestBoxIndex:
         (i, j), keys = next(iter(cells.items()))
         cells.setdefault((i + 7, j), []).append(keys.pop())
         assert t.check() == ["subsegment box cells differ from a rebuilt index"]
+
+
+def pinched_pslgs():
+    """Two meshes with a pinch: the 4x4 square with two triangular holes
+    that touch at (2, 2), and the same square with a triangular hole at
+    its corner (0, 0)."""
+    square = [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)]
+    sides = [Segment(i, (i + 1) % 4) for i in range(4)]
+    touching = Pslg(
+        tuple(square + [Point(1, 1), Point(2, 2), Point(1, 3), Point(3, 1),
+                        Point(3, 3)]),
+        tuple(sides + [Segment(4, 5), Segment(5, 6), Segment(6, 4),
+                       Segment(5, 7), Segment(7, 8), Segment(8, 5)]),
+        holes=(Point(1.3, 2), Point(2.7, 2)),
+    )
+    cornered = Pslg(
+        tuple(square + [Point(2, 1), Point(1, 2)]),
+        tuple(sides + [Segment(0, 4), Segment(4, 5), Segment(5, 0)]),
+        holes=(Point(1, 1),),
+    )
+    return touching, cornered
+
+
+class TestCheck:
+    @pytest.mark.parametrize("make", [islanded_pslg, holed_pslg])
+    def test_meshes_with_holes_and_islands_pass(self, make):
+        assert Triangulation.build(make()).check() == []
+        for engine in (chew2, ruppert):
+            out = engine(make(), RefinementConfig(alpha_deg=25.0))
+            assert out.triangulation.check() == [], engine.__name__
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["touching-holes", "corner-hole"])
+    def test_pinched_meshes_pass(self, which):
+        t = Triangulation.build(pinched_pslgs()[which])
+        # a pinch vertex starts two boundary edges
+        starts = [
+            u for a, b, c in t.triangles.values()
+            for u, v in ((a, b), (b, c), (c, a))
+            if len(t.edge_map[min(u, v), max(u, v)]) == 1
+        ]
+        assert len(starts) == len(set(starts)) + 1
+        assert t.check() == []
+
+    def test_angle_store_is_audited(self):
+        t = Triangulation.build(pinwheel(4))
+        for tid in t.triangles:
+            t.min_angle(tid)
+        gone = next(iter(t.triangles))
+        angle = t.min_angle(gone)
+        pa, pb, pc = t.triangle_points(gone)
+        g = Point((pa.x + pb.x + pc.x) / 3, (pa.y + pb.y + pc.y) / 3)
+        res = t.insert_vertex(g, CIRCUMCENTER, gone)
+        assert gone in res.removed and gone not in t._angles
+        assert t.check() == []
+        t._angles[gone] = angle  # stale: its triangle is gone
+        kept = res.created[0]
+        t._angles[kept] = math.nextafter(t.min_angle(kept), 90.0)  # wrong
+        assert t.check() == [
+            f"stored min angle of removed triangle {gone}",
+            f"stored min angle of triangle {kept} is wrong",
+        ]

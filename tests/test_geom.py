@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refinelab.geom import (
     CircleSide,
@@ -16,7 +17,12 @@ from refinelab.geom import (
     orient2d,
 )
 
-from oracles import in_diametral_disk_oracle, incircle_oracle, orient_oracle
+from oracles import (
+    in_diametral_disk_oracle,
+    incircle_oracle,
+    min_angle_deg_oracle,
+    orient_oracle,
+)
 
 
 class TestOrient2d:
@@ -242,6 +248,67 @@ class TestMinAngle:
         for p, q, r in ((a, b, c), (b, c, a), (c, a, b)):
             with pytest.raises(DegenerateTriangleError):
                 min_angle_deg(p, q, r)
+
+
+def _angle_or_error(f, a, b, c):
+    """f's answer as its exact bits, or the error it raised."""
+    try:
+        return f(a, b, c).hex()
+    except DegenerateTriangleError:
+        return "DegenerateTriangleError"
+
+
+# coordinates of every magnitude from 1e-300 to 1e300 in one triangle, so
+# that products underflow to signed zeros or overflow to infinities
+_wide = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e,
+              st.floats(-1.0, 1.0), st.integers(-300, 300)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+# small grid triangles, scaled by the exact factor 2**-520 below
+_grid = st.integers(-4, 4).map(float)
+
+
+class TestMinAngleBits:
+    """``min_angle_deg`` computes its three vertex angles inline; it must
+    give the bits of the three separate vertex-angle calls it replaced
+    (``oracles.min_angle_deg_oracle``), and raise where they raised."""
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(st.lists(_wide, min_size=6, max_size=6))
+    def test_mixed_magnitudes(self, xs):
+        a, b, c = Point(*xs[0:2]), Point(*xs[2:4]), Point(*xs[4:6])
+        for p, q, r in ((a, b, c), (b, c, a), (a, c, b)):
+            assert _angle_or_error(min_angle_deg, p, q, r) == _angle_or_error(
+                min_angle_deg_oracle, p, q, r)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.lists(_grid, min_size=6, max_size=6),
+           st.sampled_from([1.0, 2.0 ** -520, 2.0 ** 500]))
+    def test_scaled_grid_triangles(self, xs, scale):
+        a, b, c = (Point(xs[i] * scale, xs[i + 1] * scale) for i in (0, 2, 4))
+        assert _angle_or_error(min_angle_deg, a, b, c) == _angle_or_error(
+            min_angle_deg_oracle, a, b, c)
+
+    def test_overflowing_triangle_raises_in_both(self):
+        a, b, c = Point(0, 0), Point(1e300, 1e300), Point(-1e300, 1e300)
+        assert _angle_or_error(min_angle_deg, a, b, c) == "DegenerateTriangleError"
+        assert _angle_or_error(min_angle_deg_oracle, a, b, c) == (
+            "DegenerateTriangleError")
+
+    def test_every_triangle_of_the_pav_floor_mesh(self):
+        from refinelab.generators import pav
+        from refinelab.refine import DIVERGENCE_FLOOR_HIT, RefinementConfig, ruppert
+
+        out = ruppert(pav(1e-3), RefinementConfig(31.0, max_insertions=40000))
+        assert out.status == DIVERGENCE_FLOOR_HIT
+        tri = out.triangulation
+        assert len(tri.triangles) > 30000
+        for tid in tri.triangles:
+            pts = tri.triangle_points(tid)
+            want = min_angle_deg_oracle(*pts)
+            assert min_angle_deg(*pts).hex() == want.hex()
+            assert tri.min_angle(tid).hex() == want.hex()
 
 
 class TestEncroaches:

@@ -309,6 +309,23 @@ class TestTraceAndAudit:
         back = RefinementTrace.from_jsonl(text)
         assert back == out.trace
 
+    def test_trace_line_without_a_field_names_its_line(self):
+        out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=5))
+        lines = out.trace.to_jsonl().splitlines()
+        lines[2] = lines[2].replace('"lineage"', '"lineage_id"')
+        with pytest.raises(ValueError, match="^trace line 3 has no 'lineage' key$"):
+            RefinementTrace.from_jsonl("\n".join(lines))
+
+    @pytest.mark.parametrize("bad", ['{"seq": 0,', "SEGMENT_SPLIT", "[0, 1]"],
+                             ids=["truncated", "not-json", "not-an-object"])
+    def test_trace_line_that_is_not_a_json_object_names_its_line(self, bad):
+        out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=5))
+        # blank lines count, so the number is the line an editor shows
+        text = out.trace.to_jsonl() + "\n" + bad + "\n"
+        n = len(out.trace.events) + 2
+        with pytest.raises(ValueError, match=f"^trace line {n} is not"):
+            RefinementTrace.from_jsonl(text)
+
     def test_rejected_event_precedes_split(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31))
         ev = out.trace.events
