@@ -8,7 +8,9 @@ re-deriving geometry.  A subsegment split inserts its midpoint on the
 edge it already knows, seeding the cavity with the edge's flanking
 triangles instead of locating the rounded midpoint, so the split vertex
 can never land outside the domain or leave a sliver over the old edge.
-A vertex's star is walked around it from one incident triangle.
+A vertex's star is walked around it from one incident triangle.  Each
+triangle's minimum angle is computed once and kept until the triangle
+is removed, so the engine's queue, the report and the SVG share it.
 
 The queries refinement asks are local.  Each subsegment's padded
 diametral box sits in a grid for its power-of-two size and keeps the
@@ -26,7 +28,9 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .geom import (
@@ -259,9 +263,11 @@ class Triangulation:
         self.subsegments: dict[tuple[int, int], Subseg] = {}
         self.lineage_root_length: dict[int, float] = {}
         self._next_tid = 0
-        # min_angle's answers; triangle ids are never reused and points
-        # never move, so an entry holds until its triangle is removed
-        self._angles: dict[int, float] = {}
+        # min_angle's answers by triangle id, NaN where none is held;
+        # triangle ids are never reused and points never move, so an
+        # answer holds until its triangle is removed.  An array of doubles
+        # takes 8 bytes per id, a dict of floats about 100 per triangle
+        self._angles = array("d")
         self._v2t: dict[int, int] = {}
         self._index = _BoxIndex(self.points)
 
@@ -285,7 +291,8 @@ class Triangulation:
 
     def _rm_tri(self, tid: int) -> None:
         a, b, c = self.triangles.pop(tid)
-        self._angles.pop(tid, None)
+        if tid < len(self._angles):
+            self._angles[tid] = math.nan
         for u, v in ((a, b), (b, c), (c, a)):
             key = _edge_key(u, v)
             flank = self.edge_map[key]
@@ -316,11 +323,17 @@ class Triangulation:
 
     def min_angle(self, tid: int) -> float:
         """``min_angle_deg`` of the triangle's points, computed once."""
-        ma = self._angles.get(tid)
-        if ma is None:
-            a, b, c = self.triangles[tid]
-            pts = self.points
-            ma = self._angles[tid] = min_angle_deg(pts[a], pts[b], pts[c])
+        angles = self._angles
+        if tid < len(angles):
+            ma = angles[tid]
+            if ma == ma:  # not NaN
+                return ma
+        a, b, c = self.triangles[tid]
+        pts = self.points
+        ma = min_angle_deg(pts[a], pts[b], pts[c])
+        if tid >= len(angles):
+            angles.extend(repeat(math.nan, self._next_tid - len(angles)))
+        angles[tid] = ma
         return ma
 
     def vertex_count(self) -> int:
@@ -904,7 +917,9 @@ class Triangulation:
                 f"Euler relation violated: V={n_v} E={n_e} T={n_t} "
                 f"pieces={pieces} loops={loops} pinches={pinches}"
             )
-        for tid, ma in self._angles.items():
+        for tid, ma in enumerate(self._angles):
+            if ma != ma:  # NaN: nothing held
+                continue
             if tid not in self.triangles:
                 problems.append(f"stored min angle of removed triangle {tid}")
             elif ma != min_angle_deg(*self.triangle_points(tid)):

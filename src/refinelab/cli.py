@@ -100,8 +100,8 @@ def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None) ->
     stroke = max(view[2], view[3]) / 1200.0
     left, top = view[0], view[1] + view[3]  # flip y for screen coords
     # each alive vertex's screen x and y, formatted once
-    sx = {}
-    sy = {}
+    sx = [None] * len(tri.points)
+    sy = [None] * len(tri.points)
     for vid, ok in enumerate(tri.alive):
         if ok:
             p = tri.points[vid]
