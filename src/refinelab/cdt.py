@@ -283,22 +283,24 @@ class Triangulation:
         tid = self._next_tid
         self._next_tid += 1
         self.triangles[tid] = (a, b, c)
+        edge_map = self.edge_map
         for u, v in ((a, b), (b, c), (c, a)):
-            self.edge_map.setdefault(_edge_key(u, v), []).append(tid)
-        for v in (a, b, c):
-            self._v2t[v] = tid
+            edge_map.setdefault((u, v) if u < v else (v, u), []).append(tid)
+        v2t = self._v2t
+        v2t[a] = v2t[b] = v2t[c] = tid
         return tid
 
     def _rm_tri(self, tid: int) -> None:
         a, b, c = self.triangles.pop(tid)
         if tid < len(self._angles):
             self._angles[tid] = math.nan
+        edge_map = self.edge_map
         for u, v in ((a, b), (b, c), (c, a)):
-            key = _edge_key(u, v)
-            flank = self.edge_map[key]
+            key = (u, v) if u < v else (v, u)
+            flank = edge_map[key]
             flank.remove(tid)
             if not flank:
-                del self.edge_map[key]
+                del edge_map[key]
 
     def _neighbor(self, tid: int, u: int, v: int) -> Optional[int]:
         for t in self.edge_map.get((u, v) if u < v else (v, u), ()):
@@ -476,7 +478,7 @@ class Triangulation:
         """Replace the Delaunay cavity of vertex vid, grown from seeds, by a
         fan around vid.  The edge ``split``, which vid subdivides, gets no
         triangle when it lies on the cavity boundary."""
-        pts, triangles = self.points, self.triangles
+        pts, triangles, edge_map = self.points, self.triangles, self.edge_map
         x, y = pts[vid]
 
         def in_circumcircle(tid):
@@ -486,14 +488,17 @@ class Triangulation:
 
         cavity = self._flood(seeds, in_circumcircle)
 
-        # boundary of the cavity as directed edges
+        # boundary of the cavity as directed edges: those with no other
+        # cavity triangle in their flank
         ring: dict[int, int] = {}
         n_boundary = 0
         for tid in cavity:
             a, b, c = triangles[tid]
             for u, v in ((a, b), (b, c), (c, a)):
-                n = self._neighbor(tid, u, v)
-                if n is None or n not in cavity:
+                for n in edge_map[(u, v) if u < v else (v, u)]:
+                    if n != tid and n in cavity:
+                        break
+                else:
                     ring[u] = v
                     n_boundary += 1
         if len(ring) != n_boundary:
