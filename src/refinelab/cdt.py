@@ -1,16 +1,20 @@
 """Constrained Delaunay triangulation with the operations refinement needs.
 
-The structure is triangle-based: a dict of CCW vertex triples plus an
-edge map giving the one or two triangles flanking each edge.  Constraint
-subsegments carry their input-segment lineage and an exactly-halving
-length so refinement traces can reason about split cascades without
-re-deriving geometry.  A subsegment split inserts its midpoint on the
-edge it already knows, seeding the cavity with the edge's flanking
-triangles instead of locating the rounded midpoint, so the split vertex
-can never land outside the domain or leave a sliver over the old edge.
-A vertex's star is walked around it from one incident triangle.  Each
-triangle's minimum angle is computed once and kept until the triangle
-is removed, so the engine's queue, the report and the SVG share it.
+The structure is triangle-based: a dict of CCW vertex triples plus,
+per triangle id, three neighbour slots holding the triangle across each
+edge, or -1 where none is (as in Shewchuk's Triangle; there is no edge
+table).  Every operation removes a region of triangles and refills it,
+then links the new triangles to each other and to those across the
+region's rim.  Constraint subsegments carry their input-segment lineage
+and an exactly-halving length so refinement traces can reason about
+split cascades without re-deriving geometry.  A subsegment split inserts
+its midpoint on the edge it already knows, seeding the cavity with the
+edge's flanking triangles instead of locating the rounded midpoint, so
+the split vertex can never land outside the domain or leave a sliver
+over the old edge.  A vertex's star is walked around it from one
+incident triangle.  Each triangle's minimum angle is computed once and
+kept until the triangle is removed, so the engine's queue, the report
+and the SVG share it.
 
 The queries refinement asks are local.  Each subsegment's padded
 diametral box sits in a grid for its power-of-two size and keeps the
@@ -259,10 +263,15 @@ class Triangulation:
         self.tags: list[str] = []
         self.alive: list[bool] = []
         self.triangles: dict[int, tuple[int, int, int]] = {}
-        self.edge_map: dict[tuple[int, int], list[int]] = {}
         self.subsegments: dict[tuple[int, int], Subseg] = {}
         self.lineage_root_length: dict[int, float] = {}
         self._next_tid = 0
+        # slot 3 * t + i holds the triangle across edge i of triangle t,
+        # or -1: edge 0 is (a, b), edge 1 (b, c) and edge 2 (c, a).  Ids
+        # are never reused, so a removed triangle's slots are left
+        # behind: 24 bytes per id, where a dict of edges to their flanks
+        # took about 280 per triangle
+        self._nbr = array("q")
         # min_angle's answers by triangle id, NaN where none is held;
         # triangle ids are never reused and points never move, so an
         # answer holds until its triangle is removed.  An array of doubles
@@ -283,30 +292,68 @@ class Triangulation:
         tid = self._next_tid
         self._next_tid += 1
         self.triangles[tid] = (a, b, c)
-        edge_map = self.edge_map
-        for u, v in ((a, b), (b, c), (c, a)):
-            edge_map.setdefault((u, v) if u < v else (v, u), []).append(tid)
+        self._nbr.extend((-1, -1, -1))
         v2t = self._v2t
         v2t[a] = v2t[b] = v2t[c] = tid
         return tid
 
-    def _rm_tri(self, tid: int) -> None:
-        a, b, c = self.triangles.pop(tid)
-        if tid < len(self._angles):
-            self._angles[tid] = math.nan
-        edge_map = self.edge_map
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            flank = edge_map[key]
-            flank.remove(tid)
-            if not flank:
-                del edge_map[key]
+    def _rim(self, region: set) -> dict[tuple[int, int], int]:
+        """The directed edges of region's triangles with no region
+        triangle across them, each mapped to the triangle across or -1."""
+        triangles, nbr = self.triangles, self._nbr
+        rim = {}
+        for tid in region:
+            a, b, c = triangles[tid]
+            s = 3 * tid
+            for u, v, n in ((a, b, nbr[s]), (b, c, nbr[s + 1]),
+                            (c, a, nbr[s + 2])):
+                if n not in region:
+                    rim[u, v] = n
+        return rim
+
+    def _replace(self, region: set, tris, rim=None) -> list[int]:
+        """Remove the triangles of region and add tris, which fill the
+        same polygon less any rim edge they leave bare; returns the new
+        ids.  The new triangles are linked to each other through their
+        directed edges, and to those across the rim (``_rim(region)``),
+        whose back slot is set to the new triangle on its edge, or to -1
+        when none is."""
+        triangles, nbr, angles = self.triangles, self._nbr, self._angles
+        if rim is None:
+            rim = self._rim(region)
+        for tid in region:
+            del triangles[tid]
+            if tid < len(angles):
+                angles[tid] = math.nan
+        created = []
+        slots = {}  # directed edge of a new triangle -> its slot
+        for a, b, c in tris:
+            tid = self._add_tri(a, b, c)
+            created.append(tid)
+            s = 3 * tid
+            slots[a, b], slots[b, c], slots[c, a] = s, s + 1, s + 2
+        for e, s in slots.items():
+            n = rim.get(e)
+            if n is None:  # a new triangle is across, or none
+                m = slots.get((e[1], e[0]))
+                if m is not None:
+                    nbr[s] = m // 3
+            else:
+                nbr[s] = n
+        for (u, v), n in rim.items():
+            if n >= 0:
+                s = slots.get((u, v))
+                a, b, c = triangles[n]  # n has the edge (v, u)
+                nbr[3 * n + (0 if u == b else 1 if u == c else 2)] = (
+                    -1 if s is None else s // 3)
+        return created
 
     def _neighbor(self, tid: int, u: int, v: int) -> Optional[int]:
-        for t in self.edge_map.get((u, v) if u < v else (v, u), ()):
-            if t != tid:
-                return t
-        return None
+        """The triangle across tid's edge between u and v, or None."""
+        a, b, c = self.triangles[tid]
+        n = self._nbr[3 * tid + (1 if a != u and a != v else
+                                 2 if b != u and b != v else 0)]
+        return n if n >= 0 else None
 
     def _tri_of_vertex(self, v: int) -> int:
         # build records a triangle at every vertex after its final sweeps,
@@ -360,26 +407,27 @@ class Triangulation:
 
     def locate(self, x: float, y: float, start: Optional[int] = None):
         """Return ('in', tid) / ('edge', (u, v), tid) / ('vertex', vid) /
-        ('outside', last_tid)."""
+        ('outside', tid).
+
+        The walk steps across the first edge that has the point on its
+        right.  Where no triangle is across that edge (the hull, or the
+        rim of a hole with more domain behind it), or the walk runs long,
+        every triangle is tested instead."""
         if not self.triangles:
             raise TriangulationError("empty triangulation")
         # without a usable start, walk from the newest triangle
         cur = start if start in self.triangles else self._next_tid - 1
         if cur not in self.triangles:
             cur = next(iter(self.triangles))
-        steps = 0
-        cap = 4 * len(self.triangles) + 64
-        while True:
-            steps += 1
-            if steps > cap:
-                return self._locate_scan(x, y)
+        nbr = self._nbr
+        for _ in range(4 * len(self.triangles) + 64):
             where = self._classify(cur, x, y)
             if where[0] != "across":
                 return where
-            nxt = self._neighbor(cur, *where[1])
-            if nxt is None:
-                return ("outside", cur)
-            cur = nxt
+            cur = nbr[3 * cur + where[1]]
+            if cur < 0:
+                break
+        return self._locate_scan(x, y)
 
     def _locate_scan(self, x: float, y: float):
         for tid in self.triangles:
@@ -390,19 +438,19 @@ class Triangulation:
 
     def _classify(self, tid: int, x: float, y: float):
         """Where (x, y) lies in triangle tid's closed interior, as ``locate``
-        reports it, or ('across', (u, v)) for the first edge of tid that
+        reports it, or ('across', i) for the first edge i of tid that
         has the point strictly on its right."""
         a, b, c = self.triangles[tid]
         pa, pb, pc = self.points[a], self.points[b], self.points[c]
         o_ab = orient_sign(pa[0], pa[1], pb[0], pb[1], x, y)
         if o_ab < 0:
-            return ("across", (a, b))
+            return ("across", 0)
         o_bc = orient_sign(pb[0], pb[1], pc[0], pc[1], x, y)
         if o_bc < 0:
-            return ("across", (b, c))
+            return ("across", 1)
         o_ca = orient_sign(pc[0], pc[1], pa[0], pa[1], x, y)
         if o_ca < 0:
-            return ("across", (c, a))
+            return ("across", 2)
         if o_ab and o_bc and o_ca:
             return ("in", tid)
         # two zero orientations: on the vertex the two edges share
@@ -444,32 +492,39 @@ class Triangulation:
         if where[0] == "outside":
             raise OutsideDomainError(f"point {tuple(p)} is outside the domain")
         if where[0] == "edge":
-            key = _edge_key(*where[1])
-            if key in self.subsegments:
+            if _edge_key(*where[1]) in self.subsegments:
                 raise TriangulationError(
                     "point lies on a constraint edge; split the subsegment instead"
                 )
-            return list(self.edge_map[key])
+            return self._flank(where[2], *where[1])
         return [where[1]]
+
+    def _flank(self, tid: int, u: int, v: int) -> list[int]:
+        """tid and the triangle across its edge between u and v, if any,
+        in id order."""
+        n = self._neighbor(tid, u, v)
+        return [tid] if n is None else sorted((tid, n))
 
     def _flood(self, seeds: list, admit) -> set:
         """The seeds plus every triangle reached from them across
         non-constraint edges through triangles for which admit holds."""
         region = set(seeds)
         stack = list(seeds)
-        triangles, subsegments, edge_map = (
-            self.triangles, self.subsegments, self.edge_map)
+        triangles, subsegments, nbr = (
+            self.triangles, self.subsegments, self._nbr)
         while stack:
             tid = stack.pop()
             a, b, c = triangles[tid]
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                if key in subsegments:
+            s = 3 * tid
+            for u, v, n in ((a, b, nbr[s]), (b, c, nbr[s + 1]),
+                            (c, a, nbr[s + 2])):
+                if n < 0 or n in region:
                     continue
-                for n in edge_map[key]:  # tid and the neighbour, if any
-                    if n != tid and n not in region and admit(n):
-                        region.add(n)
-                        stack.append(n)
+                if ((u, v) if u < v else (v, u)) in subsegments:
+                    continue
+                if admit(n):
+                    region.add(n)
+                    stack.append(n)
         return region
 
     def _insert_in_cavity(self, vid: int, seeds: list,
@@ -478,7 +533,7 @@ class Triangulation:
         """Replace the Delaunay cavity of vertex vid, grown from seeds, by a
         fan around vid.  The edge ``split``, which vid subdivides, gets no
         triangle when it lies on the cavity boundary."""
-        pts, triangles, edge_map = self.points, self.triangles, self.edge_map
+        pts, triangles = self.points, self.triangles
         x, y = pts[vid]
 
         def in_circumcircle(tid):
@@ -488,53 +543,38 @@ class Triangulation:
 
         cavity = self._flood(seeds, in_circumcircle)
 
-        # boundary of the cavity as directed edges: those with no other
-        # cavity triangle in their flank
-        ring: dict[int, int] = {}
-        n_boundary = 0
-        for tid in cavity:
-            a, b, c = triangles[tid]
-            for u, v in ((a, b), (b, c), (c, a)):
-                for n in edge_map[(u, v) if u < v else (v, u)]:
-                    if n != tid and n in cavity:
-                        break
-                else:
-                    ring[u] = v
-                    n_boundary += 1
-        if len(ring) != n_boundary:
+        # the boundary of the cavity is its rim, as directed edges
+        rim = self._rim(cavity)
+        ring = dict(rim.keys())  # start -> end of each boundary edge
+        if len(ring) != len(rim):
             raise TriangulationError("cavity boundary is pinched")
         # canonical refill order: chain the boundary loop starting from its
         # smallest vertex id, so triangle creation order is independent of
         # internal triangle numbering
         start = min(ring)
-        chain = []
+        fan = []
         u = start
         for _ in range(len(ring)):
             v = ring[u]
-            chain.append((u, v))
+            if not split or _edge_key(u, v) != split:
+                pu, pv = pts[u], pts[v]
+                o = orient_sign(x, y, pu[0], pu[1], pv[0], pv[1])
+                if o < 0:
+                    raise TriangulationError(
+                        "cavity boundary is not star-shaped")
+                if o:  # else p lies exactly on this boundary edge
+                    fan.append((vid, u, v))
             u = v
         if u != start:
             raise TriangulationError("cavity boundary is not a single loop")
-        removed = sorted(cavity)
-        for tid in removed:
-            self._rm_tri(tid)
-        created = []
-        for u, v in chain:
-            if split and _edge_key(u, v) == split:
-                continue
-            pu, pv = self.points[u], self.points[v]
-            o = orient_sign(x, y, pu[0], pu[1], pv[0], pv[1])
-            if o == 0:
-                continue  # p exactly on a boundary edge of the cavity
-            if o < 0:
-                raise TriangulationError("cavity boundary is not star-shaped")
-            created.append(self._add_tri(vid, u, v))
-        return InsertResult(vid, created, removed)
+        created = self._replace(cavity, fan, rim)
+        return InsertResult(vid, created, sorted(cavity))
 
     # -- constraint segments -------------------------------------------------
 
     def _insert_constraint_edge(self, u: int, v: int) -> None:
-        if _edge_key(u, v) in self.edge_map:
+        star, ring = self._star(u)
+        if v in ring:
             return
         pu, pv = self.points[u], self.points[v]
 
@@ -544,7 +584,6 @@ class Triangulation:
 
         # u->v leaves u through the star triangle (u, ring[i], ring[i + 1])
         # that has ring[i] on its right and ring[i + 1] on its left
-        star, ring = self._star(u)
         o_right = side(ring[0])
         for i, tid in enumerate(star):
             left = ring[(i + 1) % len(ring)]
@@ -583,11 +622,9 @@ class Triangulation:
             else:
                 lower.append(far)
                 right = far
-        for t in crossed:
-            self._rm_tri(t)
-        for poly in ([v] + upper[::-1] + [u], [u] + lower + [v]):
-            for tri in self._triangulate_polygon(poly):
-                self._add_tri(*tri)
+        self._replace(set(crossed), [
+            tri for poly in ([v] + upper[::-1] + [u], [u] + lower + [v])
+            for tri in self._triangulate_polygon(poly)])
 
     def _star(self, v: int) -> tuple[list[int], list[int]]:
         """The triangles around interior vertex v and their far vertices,
@@ -702,7 +739,9 @@ class Triangulation:
         mid = self._add_vertex(
             (pu.x + pv.x) / 2.0, (pu.y + pv.y) / 2.0, SEGMENT_MIDPOINT
         )
-        res = self._insert_in_cavity(mid, list(self.edge_map[key]), split=key)
+        flank = next(t for t in self._fan(u, self._tri_of_vertex(u))
+                     if v in self.triangles[t])
+        res = self._insert_in_cavity(mid, self._flank(flank, u, v), split=key)
         children = (_edge_key(u, mid), _edge_key(mid, v))
         for k in children:
             self.subsegments[k] = Subseg(rec.lineage, rec.length / 2.0)
@@ -725,9 +764,7 @@ class Triangulation:
         # which incident triangle the walk started from
         k = ring.index(min(ring))
         ring = ring[k:] + ring[:k]
-        for tid in star:
-            self._rm_tri(tid)
-        created = [self._add_tri(*tri) for tri in self._triangulate_polygon(ring)]
+        created = self._replace(set(star), self._triangulate_polygon(ring))
         self._index.remove_vertex(v)
         self.alive[v] = False
         self._v2t.pop(v, None)
@@ -871,83 +908,95 @@ class Triangulation:
     def _fan(self, v: int, tid: int):
         """The triangles around vertex v: CCW from tid and, when that
         walk meets the boundary, CW from tid."""
+        triangles, nbr = self.triangles, self._nbr
         t = tid
         while True:
             yield t
-            a, b, c = self.triangles[t]
-            t = self._neighbor(t, v, c if v == a else a if v == b else b)
+            a, b, c = triangles[t]
+            # across the edge that ends at v
+            t = nbr[3 * t + (2 if v == a else 0 if v == b else 1)]
             if t == tid:
                 return
-            if t is None:
+            if t < 0:
                 break
         t = tid
         while True:
-            a, b, c = self.triangles[t]
-            t = self._neighbor(t, v, b if v == a else c if v == b else a)
-            if t is None:
+            a, b, c = triangles[t]
+            # across the edge that starts at v
+            t = nbr[3 * t + (0 if v == a else 1 if v == b else 2)]
+            if t < 0:
                 return
             yield t
 
     # -- audit ------------------------------------------------------------------
 
     def check(self) -> list[str]:
-        """Full structural audit; returns human-readable violations."""
+        """Full structural audit; returns human-readable violations.  The
+        Euler relation and the Delaunay audit read the neighbour slots, so
+        they run only when the slots match the triangles."""
         problems: list[str] = []
-        rebuilt: dict[tuple[int, int], list[int]] = {}
-        for tid, (a, b, c) in self.triangles.items():
-            pa, pb, pc = self.points[a], self.points[b], self.points[c]
+        tris, nbr, pts = self.triangles, self._nbr, self.points
+        owner: dict[tuple[int, int], int] = {}  # directed edge -> triangle
+        linked = True
+        for tid, (a, b, c) in tris.items():
+            pa, pb, pc = pts[a], pts[b], pts[c]
             if orient_sign(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1]) <= 0:
                 problems.append(f"triangle {tid} is not CCW")
             for e in ((a, b), (b, c), (c, a)):
-                rebuilt.setdefault(_edge_key(*e), []).append(tid)
-        if {k: sorted(v) for k, v in rebuilt.items()} != {
-            k: sorted(v) for k, v in self.edge_map.items()
-        }:
-            problems.append("edge map inconsistent with triangle set")
-        for key, users in rebuilt.items():
-            if len(users) > 2:
-                problems.append(f"edge {key} flanked by {len(users)} triangles")
+                if e in owner:
+                    linked = False
+                    problems.append(
+                        f"edge {e} runs the same way in triangles "
+                        f"{owner[e]} and {tid}")
+                owner[e] = tid
+        for tid, (a, b, c) in tris.items():
+            for i, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+                got, want = nbr[3 * tid + i], owner.get((v, u), -1)
+                if got != want:
+                    linked = False
+                    problems.append(
+                        f"neighbour {i} of triangle {tid} is {got}, not {want}")
         for key in self.subsegments:
-            if key not in rebuilt:
+            if key not in owner and key[::-1] not in owner:
                 problems.append(f"constraint edge {key} missing from triangulation")
-        n_v = self.vertex_count()
-        n_e = len(rebuilt)
-        n_t = len(self.triangles)
-        topology = self._topology(rebuilt)
+        topology = self._topology() if linked else None
         if topology is None:
-            problems.append("boundary loops cannot be traced")
-        elif n_v - n_e + n_t != 2 * topology[0] - topology[1] - topology[2]:
+            if linked:
+                problems.append("boundary loops cannot be traced")
+        else:
+            n_v = self.vertex_count()
+            n_e = len({_edge_key(*e) for e in owner})
+            n_t = len(tris)
             pieces, loops, pinches = topology
-            problems.append(
-                f"Euler relation violated: V={n_v} E={n_e} T={n_t} "
-                f"pieces={pieces} loops={loops} pinches={pinches}"
-            )
+            if n_v - n_e + n_t != 2 * pieces - loops - pinches:
+                problems.append(
+                    f"Euler relation violated: V={n_v} E={n_e} T={n_t} "
+                    f"pieces={pieces} loops={loops} pinches={pinches}"
+                )
         for tid, ma in enumerate(self._angles):
             if ma != ma:  # NaN: nothing held
                 continue
-            if tid not in self.triangles:
+            if tid not in tris:
                 problems.append(f"stored min angle of removed triangle {tid}")
             elif ma != min_angle_deg(*self.triangle_points(tid)):
                 problems.append(f"stored min angle of triangle {tid} is wrong")
         problems.extend(self._index_differences())
-        problems.extend(self.delaunay_violations())
+        if linked:
+            problems.extend(self.delaunay_violations())
         return problems
 
-    def _topology(self, flanks) -> Optional[tuple[int, int, int]]:
+    def _topology(self) -> Optional[tuple[int, int, int]]:
         """The mesh's pieces (triangles joined across shared edges), its
-        boundary loops, and its pinches, from ``flanks`` (edge key to
-        triangles); None when an edge has more than two triangles or the
-        turn around a vertex does not end.  A boundary edge u -> v,
-        directed as in its triangle, is followed by the first boundary
-        edge from v turning around v through the triangles from that one,
-        so each loop keeps the mesh on its left.  A vertex where k
-        boundary edges start is a pinch k - 1 times.  For a planar mesh,
+        boundary loops, and its pinches, read from the neighbour slots;
+        None when the turn around a vertex does not end.  A boundary edge
+        u -> v, directed as in its triangle, is followed by the first
+        boundary edge from v turning around v through the triangles from
+        that one, so each loop keeps the mesh on its left.  A vertex where
+        k boundary edges start is a pinch k - 1 times.  For a planar mesh,
         V - E + T = 2 * pieces - loops - pinches: each piece is a disk
         with holes, and un-pinching a vertex into its k fans adds k - 1
         vertices."""
-        tris = self.triangles
-        if any(len(flank) > 2 for flank in flanks.values()):
-            return None
+        tris, nbr = self.triangles, self._nbr
         piece = {tid: tid for tid in tris}
 
         def root(t):
@@ -956,24 +1005,24 @@ class Triangulation:
             return t
 
         follow = {}  # boundary edge (u, v) -> the next one
-        for key, flank in flanks.items():
-            if len(flank) == 2:
-                piece[root(flank[0])] = root(flank[1])
-                continue
-            t = flank[0]
-            a, b, c = tris[t]
-            u, v = next(e for e in ((a, b), (b, c), (c, a))
-                        if _edge_key(*e) == key)
-            for _ in range(len(tris)):  # turn around v to a boundary edge
-                a, b, c = tris[t]
-                w = b if v == a else c if v == b else a
-                nxt = [n for n in flanks[_edge_key(v, w)] if n != t]
-                if not nxt:
-                    break
-                t = nxt[0]
-            else:
-                return None
-            follow[u, v] = (v, w)
+        for tid, verts in tris.items():
+            for i in range(3):
+                n = nbr[3 * tid + i]
+                if n >= 0:
+                    piece[root(tid)] = root(n)
+                    continue
+                u, v = verts[i], verts[i - 2]
+                t = tid
+                for _ in range(len(tris)):  # turn around v to a boundary edge
+                    a, b, c = tris[t]
+                    k = 0 if v == a else 1 if v == b else 2
+                    n = nbr[3 * t + k]  # across the edge that starts at v
+                    if n < 0:
+                        break
+                    t = n
+                else:
+                    return None
+                follow[u, v] = (v, tris[t][k - 2])
         loops = 0
         seen = set()
         for edge in follow:
@@ -1005,27 +1054,26 @@ class Triangulation:
         return problems
 
     def delaunay_violations(self) -> list[str]:
-        """Constrained empty-circle audit (brute force)."""
+        """Non-constraint edges that are not locally Delaunay: the far
+        vertex of the triangle across lies strictly inside the
+        circumcircle.  By the constrained Delaunay lemma (Chew 1989), a
+        mesh with none is constrained Delaunay.  Each edge is tested once,
+        from its lower-numbered triangle."""
         problems = []
-        for tid, (a, b, c) in self.triangles.items():
-            pa, pb, pc = self.points[a], self.points[b], self.points[c]
-            gx = (pa.x + pb.x + pc.x) / 3.0
-            gy = (pa.y + pb.y + pc.y) / 3.0
-            for w in range(len(self.points)):
-                if not self.alive[w] or w in (a, b, c):
+        pts, tris, nbr = self.points, self.triangles, self._nbr
+        for tid, (a, b, c) in tris.items():
+            pa, pb, pc = pts[a], pts[b], pts[c]
+            for i, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+                n = nbr[3 * tid + i]
+                if n <= tid or _edge_key(u, v) in self.subsegments:
                     continue
-                pw = self.points[w]
-                if (
-                    incircle_sign(
-                        pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], pw[0], pw[1]
-                    )
-                    <= 0
-                ):
-                    continue
-                if self.first_constraint_crossing((gx, gy), pw, tid) is None:
+                w = next(w for w in tris[n] if w != u and w != v)
+                pw = pts[w]
+                if incircle_sign(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1],
+                                 pw[0], pw[1]) > 0:
                     problems.append(
-                        f"vertex {w} visibly inside circumcircle of triangle {tid}"
-                    )
+                        f"vertex {w} across edge {_edge_key(u, v)} lies "
+                        f"inside the circumcircle of triangle {tid}")
         return problems
 
     # -- construction ---------------------------------------------------------
@@ -1061,8 +1109,8 @@ class Triangulation:
             t.subsegments[_edge_key(seg.a, seg.b)] = Subseg(seg.lineage, length)
             t.lineage_root_length[seg.lineage] = length
 
-        for tid in [k for k, verts in t.triangles.items() if max(verts) >= s0]:
-            t._rm_tri(tid)
+        t._replace({k for k, verts in t.triangles.items() if max(verts) >= s0},
+                   ())
         del t.points[s0:], t.tags[s0:], t.alive[s0:]
 
         for hole in pslg.holes:
@@ -1070,8 +1118,7 @@ class Triangulation:
                 seeds = t._cavity_seeds(hole)
             except TriangulationError:
                 continue  # on a vertex or a constraint, or outside the domain
-            for tid in sorted(t._flood(seeds, lambda tid: True)):
-                t._rm_tri(tid)
+            t._replace(t._flood(seeds, lambda tid: True), ())
         t._v2t = {v: tid for tid, verts in t.triangles.items() for v in verts}
         t._index = _BoxIndex.of(t.points, t.alive, t.subsegments)
         return t

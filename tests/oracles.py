@@ -213,6 +213,17 @@ def encroaching_vertices_oracle(tri, key, closed, tag=None):
     return out
 
 
+def flanks(tri):
+    """Each undirected edge of ``tri``'s triangles, as (low, high), mapped
+    to the ids of its one or two triangles in id order."""
+    out = {}
+    for tid in sorted(tri.triangles):
+        a, b, c = tri.triangles[tid]
+        for u, v in ((a, b), (b, c), (c, a)):
+            out.setdefault((min(u, v), max(u, v)), []).append(tid)
+    return out
+
+
 def constrained_delaunay_violations(points, triangles, constraint_edges):
     """Brute-force constrained empty-circle audit.
 

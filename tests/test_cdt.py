@@ -20,7 +20,12 @@ from refinelab.generators import pinwheel
 from refinelab.pslg import Pslg, Segment
 from refinelab.refine import RefinementConfig, chew2, ruppert
 
-from oracles import constrained_delaunay_violations, first_crossing_oracle
+from oracles import (
+    constrained_delaunay_violations,
+    first_crossing_oracle,
+    flanks,
+    orient_oracle,
+)
 
 
 def square_pslg(side=1.0):
@@ -147,7 +152,7 @@ class TestInsert:
     def test_point_on_interior_edge_gives_four(self):
         t = Triangulation.build(square_pslg(2.0))
         # the diagonal is the only interior edge; find it and split it
-        (diag,) = [k for k, flank in t.edge_map.items() if len(flank) == 2]
+        (diag,) = [k for k, flank in flanks(t).items() if len(flank) == 2]
         mid = Point(
             (t.points[diag[0]].x + t.points[diag[1]].x) / 2,
             (t.points[diag[0]].y + t.points[diag[1]].y) / 2,
@@ -194,7 +199,7 @@ class TestInsert:
                 CIRCUMCENTER,
             )
             n_v = t.vertex_count()
-            n_e = len(t.edge_map)
+            n_e = len(flanks(t))
             n_t = len(t.triangles)
             assert n_v - n_e + n_t == 1
 
@@ -258,7 +263,7 @@ class TestSplit:
         ))
         t.split_subsegment(u, v)
         assert t.check() == []
-        assert (min(u, v), max(u, v)) not in t.edge_map
+        assert (min(u, v), max(u, v)) not in flanks(t)
         assert all(t.min_angle(tid) > 0 for tid in t.triangles)
 
     def test_midpoint_tag(self):
@@ -473,8 +478,6 @@ class TestConstraintWalk:
         g, c = Point(*g), Point(*c)
         t = Triangulation.build(pslg())
         assert first_crossing_oracle(t.points, t.subsegments, g, c) == want
-        # from a start across a hole, locate stops at its rim and reports
-        # g outside; the answer must not depend on it
         for start in [None] + sorted(t.triangles):
             assert t.first_constraint_crossing(g, c, start) == want, start
 
@@ -501,6 +504,54 @@ class TestConstraintWalk:
         assert t.first_constraint_crossing(g, c, start) == first_crossing_oracle(
             t.points, t.subsegments, g, c
         )
+
+
+class TestLocate:
+    # a walk from across a hole meets the hole's rim, with no triangle
+    # beyond it, before it reaches the point
+    @pytest.mark.parametrize("make", [holed_pslg, islanded_pslg])
+    def test_same_answer_from_every_start(self, make):
+        p = make()
+        t = Triangulation.build(p)
+        starts = [None] + sorted(t.triangles)
+        for tid in t.triangles:
+            pa, pb, pc = t.triangle_points(tid)
+            g = ((pa.x + pb.x + pc.x) / 3, (pa.y + pb.y + pc.y) / 3)
+            for start in starts:
+                assert t.locate(*g, start) == ("in", tid), (tid, start)
+        for v, q in alive_points(t).items():
+            for start in starts:
+                assert t.locate(q.x, q.y, start) == ("vertex", v), (v, start)
+        for q in p.holes + (Point(-1, 2), Point(2, 9)):
+            for start in starts:
+                assert t.locate(q.x, q.y, start)[0] == "outside", (q, start)
+
+
+class TestOperationSequences:
+    # each step is an operation and two fractions: the point inserted
+    # (scaled to the 4x4 square), or which subsegment or free vertex
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "split", "delete"]),
+                              st.floats(0, 1), st.floats(0, 1)),
+                    min_size=5, max_size=40))
+    def test_check_stays_empty(self, steps):
+        t = Triangulation.build(walk_pslg())
+        for op, x, y in steps:
+            if op == "insert":
+                try:
+                    t.insert_vertex(Point(4 * x, 4 * y), CIRCUMCENTER)
+                except TriangulationError:
+                    continue  # on a vertex or on a subsegment
+            elif op == "split":
+                keys = list(t.subsegments)
+                t.split_subsegment(*keys[min(int(x * len(keys)), len(keys) - 1)])
+            else:
+                free = [v for v, ok in enumerate(t.alive)
+                        if ok and t.tags[v] == CIRCUMCENTER]
+                if not free:
+                    continue
+                t.delete_vertex(free[min(int(x * len(free)), len(free) - 1)])
+            assert t.check() == [], (op, x, y)
 
 
 class TestBoxIndex:
@@ -545,6 +596,37 @@ class TestBoxIndex:
         assert t.check() == ["subsegment box cells differ from a rebuilt index"]
 
 
+def convex_diagonals(t):
+    """The non-constraint edges, as (low, high), whose two triangles
+    form a strictly convex quad."""
+    out = []
+    for key, flank in flanks(t).items():
+        if len(flank) == 2 and key not in t.subsegments:
+            a, b, c, d = quad(t, key)
+            pa, pb, pc, pd = (t.points[w] for w in (a, b, c, d))
+            if orient_oracle(pc, pd, pa) * orient_oracle(pc, pd, pb) < 0:
+                out.append(key)
+    return out
+
+
+def quad(t, key):
+    """(a, b, c, d) where (a, b, c) is the lower-numbered triangle on the
+    edge key, with (a, b) its edge, and d the far vertex of the other."""
+    t1, t2 = flanks(t)[key]
+    verts = t.triangles[t1]
+    a, b, c = next(verts[k:] + verts[:k] for k in range(3)
+                   if {verts[k], verts[k - 2]} == set(key))
+    d = next(w for w in t.triangles[t2] if w not in key)
+    return a, b, c, d
+
+
+def flip(t, key):
+    """Replace the two triangles on the convex diagonal key by the two
+    on the quad's other diagonal, both CCW."""
+    a, b, c, d = quad(t, key)
+    t._replace(set(flanks(t)[key]), [(a, d, c), (d, b, c)])
+
+
 def pinched_pslgs():
     """Two meshes with a pinch: the 4x4 square with two triangular holes
     that touch at (2, 2), and the same square with a triangular hole at
@@ -578,13 +660,42 @@ class TestCheck:
     def test_pinched_meshes_pass(self, which):
         t = Triangulation.build(pinched_pslgs()[which])
         # a pinch vertex starts two boundary edges
+        edges = flanks(t)
         starts = [
             u for a, b, c in t.triangles.values()
             for u, v in ((a, b), (b, c), (c, a))
-            if len(t.edge_map[min(u, v), max(u, v)]) == 1
+            if len(edges[min(u, v), max(u, v)]) == 1
         ]
         assert len(starts) == len(set(starts)) + 1
         assert t.check() == []
+
+    def test_wrong_neighbour_slot_is_reported(self):
+        t = Triangulation.build(walk_pslg())
+        first, other = sorted(t.triangles)[:2]
+        i = next(i for i in range(3) if t._nbr[3 * first + i] != other)
+        want = t._nbr[3 * first + i]
+        t._nbr[3 * first + i] = other
+        assert t.check() == [
+            f"neighbour {i} of triangle {first} is {other}, not {want}"
+        ]
+
+    # the local audit tests only the edges between neighbours; by the
+    # constrained Delaunay lemma it must agree with the brute-force
+    # definition, which tests every vertex against every circumcircle
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_local_audit_matches_oracle(self, data):
+        make = data.draw(st.sampled_from(
+            [holed_pslg, islanded_pslg, lambda: pinwheel(4), lambda: pinwheel(5)]))
+        engine = data.draw(st.sampled_from([chew2, ruppert]))
+        alpha = data.draw(st.sampled_from([20.0, 25.0, 31.0]))
+        t = engine(make(), RefinementConfig(alpha_deg=alpha, max_insertions=25)
+                   ).triangulation
+        if data.draw(st.booleans()):
+            flip(t, data.draw(st.sampled_from(convex_diagonals(t))))
+        local = t.check()
+        assert [m for m in local if "circumcircle" not in m] == []
+        assert bool(local) == bool(oracle_audit(t))
 
     def test_angle_store_is_audited(self):
         t = Triangulation.build(pinwheel(4))

@@ -14,7 +14,13 @@ from refinelab import cdt, refine
 from refinelab.cdt import CIRCUMCENTER, SEGMENT_MIDPOINT, Triangulation
 from refinelab.geom import Point, encroaches
 from refinelab.pslg import Pslg, Segment
-from refinelab.generators import enclose, example2, pav, pinwheel
+from refinelab.generators import (
+    enclose,
+    example2,
+    example2_optimized,
+    pav,
+    pinwheel,
+)
 from refinelab.refine import (
     BUDGET_EXHAUSTED,
     CIRCUMCENTER_INSERT,
@@ -471,6 +477,30 @@ class TestExample2Spiral:
     def test_unbalanced_terminates_below_29(self):
         out = ruppert(example2(75.0, 1.0, 1e-3), RefinementConfig(alpha_deg=28.9))
         assert out.status == TERMINATED
+
+
+# the five ``refinelab refine`` runs of the benchmark's cascade workload,
+# each to the floor or its budget: input, engine, alpha and budget
+# (10,000 is refine's default)
+CASCADE_RUNS = {
+    "pav-ruppert-31": (lambda: pav(1e-3), ruppert, 31.0, 40000),
+    "pinwheel4-ruppert-31": (lambda: pinwheel(4), ruppert, 31.0, 10000),
+    "pinwheel4-chew2-31": (lambda: pinwheel(4), chew2, 31.0, 10000),
+    "spiral-opt-ruppert-30":
+        (lambda: example2_optimized(1e-3), ruppert, 30.0, 10000),
+    "pinwheel5-ruppert-34": (lambda: pinwheel(5), ruppert, 34.0, 10000),
+}
+
+
+class TestDivergentMeshesAudited:
+    @pytest.mark.parametrize("run", CASCADE_RUNS)
+    def test_final_mesh_passes_check_and_audit(self, run):
+        make, engine, alpha, budget = CASCADE_RUNS[run]
+        out = engine(make(), RefinementConfig(alpha_deg=alpha,
+                                              max_insertions=budget))
+        assert out.status in (DIVERGENCE_FLOOR_HIT, BUDGET_EXHAUSTED)
+        assert out.triangulation.check() == []
+        assert audit(out) == []
 
 
 @functools.lru_cache(maxsize=None)
