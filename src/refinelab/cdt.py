@@ -314,10 +314,10 @@ class Triangulation:
     def _replace(self, region: set, tris, rim=None) -> list[int]:
         """Remove the triangles of region and add tris, which fill the
         same polygon less any rim edge they leave bare; returns the new
-        ids.  The new triangles are linked to each other through their
-        directed edges, and to those across the rim (``_rim(region)``),
-        whose back slot is set to the new triangle on its edge, or to -1
-        when none is."""
+        ids.  Each new triangle is linked across each edge to the new or
+        outside triangle (from ``_rim(region)``) that has the edge the
+        other way round; an outside triangle whose rim edge is left bare
+        gets -1 across it."""
         triangles, nbr, angles = self.triangles, self._nbr, self._angles
         if rim is None:
             rim = self._rim(region)
@@ -325,27 +325,24 @@ class Triangulation:
             del triangles[tid]
             if tid < len(angles):
                 angles[tid] = math.nan
+        open_slots = {}  # unmatched directed edge -> its slot
+        for (u, v), n in rim.items():
+            if n >= 0:
+                a, b, c = triangles[n]  # n has the edge (v, u)
+                m = 3 * n + (0 if u == b else 1 if u == c else 2)
+                nbr[m] = -1
+                open_slots[v, u] = m
         created = []
-        slots = {}  # directed edge of a new triangle -> its slot
         for a, b, c in tris:
             tid = self._add_tri(a, b, c)
             created.append(tid)
             s = 3 * tid
-            slots[a, b], slots[b, c], slots[c, a] = s, s + 1, s + 2
-        for e, s in slots.items():
-            n = rim.get(e)
-            if n is None:  # a new triangle is across, or none
-                m = slots.get((e[1], e[0]))
-                if m is not None:
-                    nbr[s] = m // 3
-            else:
-                nbr[s] = n
-        for (u, v), n in rim.items():
-            if n >= 0:
-                s = slots.get((u, v))
-                a, b, c = triangles[n]  # n has the edge (v, u)
-                nbr[3 * n + (0 if u == b else 1 if u == c else 2)] = (
-                    -1 if s is None else s // 3)
+            for u, v, i in ((a, b, s), (b, c, s + 1), (c, a, s + 2)):
+                m = open_slots.pop((v, u), None)
+                if m is None:
+                    open_slots[u, v] = i
+                else:
+                    nbr[i], nbr[m] = m // 3, tid
         return created
 
     def _neighbor(self, tid: int, u: int, v: int) -> Optional[int]:
@@ -427,9 +424,6 @@ class Triangulation:
             cur = nbr[3 * cur + where[1]]
             if cur < 0:
                 break
-        return self._locate_scan(x, y)
-
-    def _locate_scan(self, x: float, y: float):
         for tid in self.triangles:
             where = self._classify(tid, x, y)
             if where[0] != "across":
@@ -960,10 +954,9 @@ class Triangulation:
             if key not in owner and key[::-1] not in owner:
                 problems.append(f"constraint edge {key} missing from triangulation")
         topology = self._topology() if linked else None
-        if topology is None:
-            if linked:
-                problems.append("boundary loops cannot be traced")
-        else:
+        if linked and topology is None:
+            problems.append("boundary loops cannot be traced")
+        elif linked:
             n_v = self.vertex_count()
             n_e = len({_edge_key(*e) for e in owner})
             n_t = len(tris)
