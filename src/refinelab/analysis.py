@@ -19,7 +19,10 @@ from typing import Optional
 from .pslg import Pslg
 from .refine import (
     CHEW2,
+    CIRCUMCENTER_INSERT,
+    CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
     RUPPERT,
+    SEGMENT_SPLIT,
     TERMINATED,
     RefinementConfig,
     RefinementOutcome,
@@ -213,6 +216,8 @@ def _detect_cycle(lineages: list[int]) -> Optional[int]:
 _SOLVE_TOL = 1e-13  # solve_optimum's target residual 2-norm
 _WINDOW = 12  # a verdict judges the last _WINDOW + 1 record splits
 _RATIO_TOL = 0.01  # relative tolerance on each per-revolution halving
+# the events of a popped skinny triangle, each with its minimum angle
+_PROCESSED = (CIRCUMCENTER_INSERT, CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT)
 
 
 class CascadeChecker:
@@ -312,6 +317,26 @@ def _as_pslg(target) -> Pslg:
     raise TypeError(f"cannot scan a {type(target).__name__}")
 
 
+def _probe_at(alpha: float, run, verdict: DivergenceVerdict) -> ScanProbe:
+    """The probe at ``alpha``, read from ``run``, a run of the same engine
+    on the same input at an angle above ``alpha``, whose verdict is
+    ``verdict``.  The run at ``alpha`` is the prefix of ``run`` that ends
+    just before the first circumcenter event at an angle of at least
+    ``alpha``, where it is TERMINATED; with no such event it is ``run``."""
+    insertions = splits = 0
+    for e in run.trace.events:
+        if e.kind in _PROCESSED and e.min_angle_deg >= alpha:
+            return ScanProbe(alpha, TERMINATED,
+                             DivergenceVerdict(status=TERMINATED_V),
+                             insertions, splits)
+        if e.kind == SEGMENT_SPLIT:
+            splits += 1
+            insertions += 1
+        elif e.kind == CIRCUMCENTER_INSERT:
+            insertions += 1
+    return ScanProbe(alpha, run.status, verdict, insertions, splits)
+
+
 def threshold_scan(
     target,
     algorithm: str,
@@ -328,6 +353,20 @@ def threshold_scan(
     a midpoint could round back onto an end of the bracket forever.  Each
     probe stops at its first DIVERGING verdict.  An inconclusive probe is
     retried once with a four times larger insertion budget.
+
+    The engine runs once, at ``hi`` (twice if that run is inconclusive),
+    and every probe is read from that run's trace.  The engines read the
+    angle only where they queue a skinny triangle, so take a < b: every
+    triangle the run at b queues and the run at a does not has a minimum
+    angle of at least a, above every entry both queue.  While the run at
+    a has anything queued, both runs pop the same entries in the same
+    order, and the run at a is a prefix of the run at b: it ends
+    TERMINATED just before the first circumcenter inserted or rejected
+    at an angle of at least a (the run at b went on, so the budget was
+    not spent there), and with no such event it is the run at b, status
+    and verdict included.  A four times larger budget only extends a
+    run, so an inconclusive probe's widened run is read from the widened
+    run at ``hi``.  Each probe therefore equals the probe's own run.
     """
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
@@ -337,29 +376,22 @@ def threshold_scan(
         raise ScanError(f"unknown algorithm {algorithm!r}")
     pslg = _as_pslg(target)
     engine = ruppert if algorithm == RUPPERT else chew2
-    base = base_cfg or RefinementConfig(alpha_deg=lo)
+    cfg = replace(base_cfg or RefinementConfig(alpha_deg=lo), alpha_deg=hi)
+    run = engine(pslg, cfg, stop=CascadeChecker().feed)
+    verdict = classify(run)
+    if verdict.status == INCONCLUSIVE:
+        cfg = replace(cfg, max_insertions=4 * cfg.max_insertions)
+        run = engine(pslg, cfg, stop=CascadeChecker().feed)
+        verdict = classify(run)
     probes: list[ScanProbe] = []
 
     def probe(alpha: float) -> ScanProbe:
-        cfg = replace(base, alpha_deg=alpha)
-        outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
-        verdict = classify(outcome)
-        if verdict.status == INCONCLUSIVE:
-            cfg = replace(cfg, max_insertions=4 * cfg.max_insertions)
-            outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
-            verdict = classify(outcome)
-            if verdict.status == INCONCLUSIVE:
-                raise ScanError(
-                    f"probe at alpha={alpha:.4f} stayed inconclusive after "
-                    f"widening the budget to {cfg.max_insertions}"
-                )
-        p = ScanProbe(
-            alpha_deg=alpha,
-            status=outcome.status,
-            verdict=verdict,
-            insertions=outcome.insertions,
-            splits=len(outcome.trace.splits()),
-        )
+        p = _probe_at(alpha, run, verdict)
+        if p.verdict.status == INCONCLUSIVE:
+            raise ScanError(
+                f"probe at alpha={alpha:.4f} stayed inconclusive after "
+                f"widening the budget to {cfg.max_insertions}"
+            )
         probes.append(p)
         return p
 

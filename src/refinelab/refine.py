@@ -30,6 +30,12 @@ unchanged.  The conforming engine tests each new vertex and each new
 subsegment once: a circumcenter before it is inserted, a split midpoint
 and its two halves right after the split.  Runs are deterministic:
 identical inputs give bit-identical traces.
+
+The angle ``alpha_deg`` is read in one place only: a triangle is queued
+when its minimum angle is below it.  So a run at a smaller angle is a
+prefix of the run at a larger one, ending TERMINATED just before the
+first circumcenter event at or above the smaller angle; the threshold
+scan reads all its probes from one run on this invariant.
 """
 
 from __future__ import annotations

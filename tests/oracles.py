@@ -3,17 +3,31 @@
 Everything here is written directly from definitions (rational
 determinants, exhaustive scans) and deliberately shares no code with the
 implementation under test, except ``geom.encroaches``, the definition of
-encroachment that the two whole-mesh encroachment scans below apply, and
+encroachment that the two whole-mesh encroachment scans below apply,
 ``geom.DegenerateTriangleError``, which the reference ``min_angle_deg``
-raises as the real one does.
+raises as the real one does, and the engines and the verdict that the
+reference threshold scan runs probe by probe.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
+from refinelab.analysis import (
+    DIVERGING,
+    INCONCLUSIVE,
+    TERMINATED_V,
+    CascadeChecker,
+    ScanError,
+    ScanProbe,
+    ScanResult,
+    _as_pslg,
+    classify,
+)
 from refinelab.geom import DegenerateTriangleError, encroaches
+from refinelab.refine import CHEW2, RUPPERT, RefinementConfig, chew2, ruppert
 
 
 def orient_oracle(a, b, c) -> int:
@@ -334,3 +348,62 @@ def validate_oracle(p):
             ):
                 out.append(("vertex_on_segment", (j, k1)))
     return out
+
+
+def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, base_cfg=None):
+    """``analysis.threshold_scan`` by its definition: every probe is its
+    own engine run, stopped at its first DIVERGING verdict, and an
+    inconclusive probe is run once more with a four times larger
+    budget."""
+    if not 0.0 < lo < hi < 60.0:
+        raise ScanError(f"invalid bracket [{lo}, {hi}]")
+    if not tol >= math.ulp(hi):
+        raise ScanError(f"tolerance must be positive and >= {math.ulp(hi):.3g}")
+    if algorithm not in (RUPPERT, CHEW2):
+        raise ScanError(f"unknown algorithm {algorithm!r}")
+    pslg = _as_pslg(target)
+    engine = ruppert if algorithm == RUPPERT else chew2
+    base = base_cfg or RefinementConfig(alpha_deg=lo)
+    probes = []
+
+    def probe(alpha):
+        cfg = replace(base, alpha_deg=alpha)
+        outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
+        verdict = classify(outcome)
+        if verdict.status == INCONCLUSIVE:
+            cfg = replace(cfg, max_insertions=4 * cfg.max_insertions)
+            outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
+            verdict = classify(outcome)
+            if verdict.status == INCONCLUSIVE:
+                raise ScanError(
+                    f"probe at alpha={alpha:.4f} stayed inconclusive after "
+                    f"widening the budget to {cfg.max_insertions}"
+                )
+        p = ScanProbe(
+            alpha_deg=alpha,
+            status=outcome.status,
+            verdict=verdict,
+            insertions=outcome.insertions,
+            splits=len(outcome.trace.splits()),
+        )
+        probes.append(p)
+        return p
+
+    if probe(lo).verdict.status != TERMINATED_V:
+        raise ScanError(f"refinement at lo={lo} does not terminate")
+    if probe(hi).verdict.status != DIVERGING:
+        raise ScanError(f"refinement at hi={hi} does not diverge")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if probe(mid).verdict.status == DIVERGING:
+            hi = mid
+        else:
+            lo = mid
+    return ScanResult(
+        threshold_deg=(lo + hi) / 2.0,
+        lo=lo,
+        hi=hi,
+        tol=tol,
+        algorithm=algorithm,
+        probes=tuple(probes),
+    )

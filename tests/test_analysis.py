@@ -3,6 +3,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from refinelab import analysis
 from refinelab.analysis import (
@@ -13,6 +14,7 @@ from refinelab.analysis import (
     ConvergenceError,
     DivergenceVerdict,
     ScanError,
+    ScanProbe,
     cascade_splits,
     classify,
     jacobian,
@@ -20,16 +22,37 @@ from refinelab.analysis import (
     solve_optimum,
     threshold_scan,
 )
-from refinelab.generators import ExampleConfig, PAV, PINWHEEL, pav, pinwheel
+from refinelab.generators import (
+    EXAMPLE2,
+    EXAMPLE2_OPT,
+    ExampleConfig,
+    PAV,
+    PINWHEEL,
+    enclose,
+    example2,
+    example2_optimized,
+    pav,
+    pinwheel,
+)
+from refinelab.geom import Point
+from refinelab.pslg import Pslg, Segment
 from refinelab.refine import (
     BUDGET_EXHAUSTED,
+    CIRCUMCENTER_INSERT,
+    CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
+    DIVERGENCE_FLOOR_HIT,
     SEGMENT_SPLIT,
+    STOPPED,
+    TERMINATED,
     RefinementConfig,
     RefinementOutcome,
     RefinementTrace,
     TraceEvent,
+    chew2,
     ruppert,
 )
+
+from oracles import threshold_scan_oracle
 
 
 class TestResiduals:
@@ -246,11 +269,14 @@ class TestThresholdScan:
         assert probes == []
 
     def test_smallest_tolerance_ends_at_adjacent_floats(self, monkeypatch):
-        # a stand-in engine whose runs diverge exactly above 30.1 degrees
+        # a stand-in engine whose runs diverge exactly above 30.1 degrees:
+        # a probe below the run's one skinny triangle at 30.1 ends before it
+        skinny = TraceEvent(0, CIRCUMCENTER_INSERT, None, None, 30.1, 0.0, 0.0)
+
         def engine(pslg, cfg, stop=None):
             return SimpleNamespace(
                 alpha=cfg.alpha_deg, status="", insertions=0,
-                trace=SimpleNamespace(splits=list),
+                trace=SimpleNamespace(splits=list, events=(skinny,)),
             )
 
         def verdict(outcome):
@@ -294,3 +320,134 @@ class TestThresholdScan:
         assert all(
             p.verdict.status in (TERMINATED_V, DIVERGING) for p in res.probes
         )
+
+
+# the five acceptance scans: target, engine, bracket and tolerance
+ACCEPTANCE_SCANS = [
+    (ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0, 0.1),
+    (ExampleConfig(family=PINWHEEL, n=4), "CHEW2", 25.0, 35.0, 0.1),
+    (ExampleConfig(family=PAV, delta=1e-3), "RUPPERT", 25.0, 32.0, 0.1),
+    (ExampleConfig(family=EXAMPLE2_OPT, delta=1e-3), "RUPPERT", 25.0, 32.0, 0.1),
+    (ExampleConfig(family=PINWHEEL, n=5), "RUPPERT", 30.0, 36.0, 0.2),
+]
+ACCEPTANCE_IDS = ["pinwheel4-ruppert", "pinwheel4-chew2", "pav-ruppert",
+                  "spiral-opt-ruppert", "pinwheel5-ruppert"]
+
+
+def _budget(n):
+    return RefinementConfig(alpha_deg=1.0, max_insertions=n)
+
+
+class TestProbesReadFromOneRun:
+    """``threshold_scan`` runs the engine at ``hi`` only and reads every
+    probe from that run; ``oracles.threshold_scan_oracle`` runs every
+    probe, and the two must agree on every field of every probe."""
+
+    @pytest.mark.parametrize("args", ACCEPTANCE_SCANS + [
+        (ExampleConfig(family=PAV, delta=1e-3), "RUPPERT", 28.0, 31.0, 0.25),
+        (ExampleConfig(family=PINWHEEL, n=5), "CHEW2", 28.0, 38.0, 0.05),
+        # the run at hi diverges only with the widened budget (190 insertions)
+        (ExampleConfig(family=EXAMPLE2, delta=1e-3), "RUPPERT", 25.0, 32.0, 0.1,
+         _budget(48)),
+        # about 50 probes, down to adjacent floats
+        (ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0,
+         math.ulp(35.0)),
+    ], ids=ACCEPTANCE_IDS + ["pav-28-31", "pinwheel5-chew2", "widened-hi", "ulp"])
+    def test_scan_equals_oracle(self, args):
+        assert threshold_scan(*args) == threshold_scan_oracle(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 31.0, 35.0),
+         "does not terminate"),
+        ((ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 20.0, 25.0),
+         "does not diverge"),
+        # lo terminates only with the widened budget, hi never diverges
+        ((ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0, 0.1,
+          _budget(12)), "inconclusive after widening"),
+        # chew2 never diverges on pinwheel(3): hi stays inconclusive
+        ((ExampleConfig(family=PINWHEEL, n=3), "CHEW2", 20.0, 40.0, 0.05,
+          _budget(1000)), "inconclusive after widening"),
+    ], ids=["lo-terminates-not", "hi-diverges-not", "budget-12", "pinwheel3-chew2"])
+    def test_error_equals_oracle(self, args, message):
+        with pytest.raises(ScanError, match=message) as got:
+            threshold_scan(*args)
+        with pytest.raises(ScanError) as want:
+            threshold_scan_oracle(*args)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("args", ACCEPTANCE_SCANS, ids=ACCEPTANCE_IDS)
+    def test_threshold_brackets_the_last_skinny_angle(self, args):
+        # the probes at and below the largest angle of a popped skinny
+        # triangle in the run at hi terminate, and those above it diverge
+        target, alg, lo, hi, _ = args
+        engine = ruppert if alg == "RUPPERT" else chew2
+        run = engine(analysis._as_pslg(target), RefinementConfig(alpha_deg=hi),
+                     stop=CascadeChecker().feed)
+        worst = max(e.min_angle_deg for e in run.trace.events
+                    if e.min_angle_deg is not None)
+        res = threshold_scan(*args)
+        assert res.lo <= worst < res.hi
+
+
+def _perturbed_pinwheel(n, turns, stretches):
+    """pinwheel(n) with arm i turned by turns[i] degrees and its length
+    scaled by 1 + stretches[i]."""
+    arms = [Point(0.0, 0.0)]
+    for i in range(n):
+        r = 2.0 ** ((n - i) / n) * (1.0 + stretches[i])
+        d = math.radians(i * 360.0 / n + turns[i])
+        arms.append(Point(r * math.cos(d), r * math.sin(d)))
+    return enclose(Pslg(tuple(arms), tuple(Segment(0, i + 1, i) for i in range(n))))
+
+
+@st.composite
+def scan_inputs(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from([
+            pinwheel(3), pinwheel(4), pinwheel(5), pav(), pav(1e-3),
+            example2(75.0, 1.0, 1e-3), example2_optimized(1e-3),
+        ]))
+    n = draw(st.integers(3, 5))
+    eps = st.floats(-0.02, 0.02)
+    return _perturbed_pinwheel(n, draw(st.lists(eps, min_size=n, max_size=n)),
+                               draw(st.lists(eps, min_size=n, max_size=n)))
+
+
+class TestRunBelowIsAPrefix:
+    # the lemma behind threshold_scan, over all four ways a run can end;
+    # the explicit examples end the run below in each of them
+    def test_lower_angle_runs_a_prefix(self):
+        endings = set()
+
+        @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+        @given(p=scan_inputs(), engine=st.sampled_from([ruppert, chew2]),
+               below=st.floats(26.0, 38.0), gap=st.floats(0.0, 6.0),
+               budget=st.sampled_from([15, 100, 700]),
+               ratio=st.sampled_from([2.0 ** -12, 2.0 ** -4, 0.3]),
+               stopping=st.booleans())
+        @example(pinwheel(4), ruppert, 29.0, 5.0, 700, 2.0 ** -12, True)
+        @example(pinwheel(4), ruppert, 33.0, 2.0, 700, 2.0 ** -12, True)
+        @example(pav(1e-3), ruppert, 31.0, 3.0, 100, 2.0 ** -12, True)
+        @example(pinwheel(4), chew2, 33.0, 2.0, 700, 0.3, False)
+        def prop(p, engine, below, gap, budget, ratio, stopping):
+            above = below + gap
+            if above == below:
+                return
+
+            def run(alpha):
+                cfg = RefinementConfig(alpha_deg=alpha, max_insertions=budget,
+                                       min_length_ratio=ratio)
+                return engine(p, cfg, stop=CascadeChecker().feed if stopping
+                              else None)
+
+            real, run_above = run(below), run(above)
+            events = real.trace.events
+            assert run_above.trace.events[:len(events)] == events
+            assert analysis._probe_at(below, run_above, classify(run_above)) == (
+                ScanProbe(below, real.status, classify(real), real.insertions,
+                          len(real.trace.splits())))
+            endings.add(real.status)
+
+        prop()
+        assert endings == {TERMINATED, STOPPED, BUDGET_EXHAUSTED,
+                           DIVERGENCE_FLOOR_HIT}

@@ -60,7 +60,9 @@ def test_traced_scan_probes_stop_at_their_verdict(monkeypatch):
     finally:
         tracer.uninstall()
     assert m["analysis.probes"] == len(result.probes)
-    assert m["analysis.retries"] == 0
+    # every probe is read from one engine run, at hi
+    scan = next(i for i, s in enumerate(tracer.spans) if s[0] == "analysis.scan")
+    assert [s[3] for s in tracer.spans if s[0] == "refine.engine"] == [scan]
     assert m["analysis.insertions_after_verdict"] == 0
 
 

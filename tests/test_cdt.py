@@ -697,6 +697,43 @@ class TestCheck:
         assert [m for m in local if "circumcircle" not in m] == []
         assert bool(local) == bool(oracle_audit(t))
 
+    # moving one free vertex of a refined mesh can turn a triangle
+    # clockwise or leave an edge not locally Delaunay: check() reports
+    # each exactly when the brute-force definitions find it
+    def test_moved_vertex_is_reported(self):
+        seen = set()
+
+        @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+        @given(data=st.data())
+        def prop(data):
+            n = data.draw(st.sampled_from([4, 5]))
+            engine = data.draw(st.sampled_from([chew2, ruppert]))
+            t = engine(pinwheel(n), RefinementConfig(alpha_deg=25.0)).triangulation
+            free = [v for v, ok in enumerate(t.alive)
+                    if ok and t.tags[v] == CIRCUMCENTER]
+            v = data.draw(st.sampled_from(free))
+            p = t.points[v]
+            # by up to one and a half times its shortest edge on each axis
+            reach = min(math.dist(p, t.points[w])
+                        for tri in t.triangles.values() if v in tri
+                        for w in tri if w != v)
+            step = st.floats(-1.5, 1.5)
+            t.points[v] = Point(p.x + data.draw(step) * reach,
+                                p.y + data.draw(step) * reach)
+            clockwise = any(orient_oracle(*(t.points[w] for w in tri)) <= 0
+                            for tri in t.triangles.values())
+            problems = t.check()
+            assert any("is not CCW" in m for m in problems) == clockwise
+            if not clockwise:
+                violated = bool(oracle_audit(t))
+                assert any("circumcircle" in m for m in problems) == violated
+                seen.add("violated" if violated else "kept")
+            else:
+                seen.add("clockwise")
+
+        prop()
+        assert seen == {"clockwise", "violated", "kept"}
+
     def test_angle_store_is_audited(self):
         t = Triangulation.build(pinwheel(4))
         for tid in t.triangles:
