@@ -39,7 +39,6 @@ from refinelab.pslg import Pslg, Segment
 from refinelab.refine import (
     BUDGET_EXHAUSTED,
     CIRCUMCENTER_INSERT,
-    CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
     DIVERGENCE_FLOOR_HIT,
     SEGMENT_SPLIT,
     STOPPED,
@@ -335,6 +334,7 @@ ACCEPTANCE_IDS = ["pinwheel4-ruppert", "pinwheel4-chew2", "pav-ruppert",
 
 
 def _budget(n):
+    """A base config with a budget of n insertions; the scan sets its angle."""
     return RefinementConfig(alpha_deg=1.0, max_insertions=n)
 
 
