@@ -26,6 +26,7 @@ from .refine import (
     EngineError,
     RefinementConfig,
     RefinementOutcome,
+    _write_lines,
     chew2,
     ruppert,
 )
@@ -61,30 +62,40 @@ def _alive_index(tri: Triangulation) -> dict[int, int]:
     return {vid: new for new, vid in enumerate(alive)}
 
 
-def write_node(tri: Triangulation) -> str:
-    """Vertex list in .node convention (alive vertices, reindexed)."""
+def write_node(tri: Triangulation, out=None) -> str | None:
+    """Vertex list in .node convention (alive vertices, reindexed); written
+    into ``out`` if one is given."""
     index = _alive_index(tri)
-    lines = [f"{len(index)} 2 0 0"]
-    for vid, new in index.items():
-        p = tri.points[vid]
-        lines.append(f"{new} {_fmt(p.x)} {_fmt(p.y)}")
-    lines.append("")
-    return "\n".join(lines)
+    pts = tri.points
+
+    def lines():
+        yield f"{len(index)} 2 0 0\n"
+        for vid, new in index.items():
+            p = pts[vid]
+            yield f"{new} {_fmt(p.x)} {_fmt(p.y)}\n"
+
+    return _write_lines(lines(), out)
 
 
-def write_ele(tri: Triangulation) -> str:
-    """Triangle list in .ele convention, matching write_node's indices."""
+def write_ele(tri: Triangulation, out=None) -> str | None:
+    """Triangle list in .ele convention, matching write_node's indices;
+    written into ``out`` if one is given."""
     index = _alive_index(tri)
-    lines = [f"{len(tri.triangles)} 3 0"]
-    for i, (_, verts) in enumerate(sorted(tri.triangles.items())):
-        a, b, c = verts
-        lines.append(f"{i} {index[a]} {index[b]} {index[c]}")
-    lines.append("")
-    return "\n".join(lines)
+    tris = tri.triangles
+
+    def lines():
+        yield f"{len(tris)} 3 0\n"
+        for i, tid in enumerate(sorted(tris)):
+            a, b, c = tris[tid]
+            yield f"{i} {index[a]} {index[b]} {index[c]}\n"
+
+    return _write_lines(lines(), out)
 
 
-def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None) -> str:
-    """Render the mesh as standalone SVG, one polygon per triangle.
+def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None,
+                out=None) -> str | None:
+    """Render the mesh as standalone SVG, one polygon per triangle;
+    written into ``out`` if one is given.
 
     Triangles with a minimum angle below ``highlight_below_deg`` are
     filled red; constraint subsegments are drawn as heavy strokes.
@@ -108,31 +119,28 @@ def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None) ->
             sx[vid] = f"{(p.x - left) * scale:.3f}"
             sy[vid] = f"{(top - p.y) * scale:.3f}"
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{view[2] * scale:.1f}" height="{view[3] * scale:.1f}">',
-    ]
-    tail = f'stroke="#777" stroke-width="{stroke * scale:.3f}"/>'
-    plain = f'" fill="#e8e8e8" {tail}'
-    skinny = f'" fill="#e05545" {tail}'
-    for tid, (a, b, c) in sorted(tri.triangles.items()):
-        fill = plain
-        if highlight_below_deg is not None:
-            if tri.min_angle(tid) < highlight_below_deg:
-                fill = skinny
-        parts.append(
-            f'<polygon points="{sx[a]},{sy[a]} {sx[b]},{sy[b]} '
-            f'{sx[c]},{sy[c]}{fill}'
-        )
-    tail = f'stroke="#000" stroke-width="{3 * stroke * scale:.3f}"/>'
-    for (u, v) in tri.subsegments:
-        parts.append(
-            f'<line x1="{sx[u]}" y1="{sy[u]}" x2="{sx[v]}" y2="{sy[v]}" {tail}'
-        )
-    parts.append("</svg>")
-    parts.append("")
-    return "\n".join(parts)
+    def lines():
+        yield '<?xml version="1.0" encoding="UTF-8"?>\n'
+        yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
+               f'width="{view[2] * scale:.1f}" height="{view[3] * scale:.1f}">\n')
+        tail = f'stroke="#777" stroke-width="{stroke * scale:.3f}"/>\n'
+        plain = f'" fill="#e8e8e8" {tail}'
+        skinny = f'" fill="#e05545" {tail}'
+        tris = tri.triangles
+        for tid in sorted(tris):
+            a, b, c = tris[tid]
+            fill = plain
+            if highlight_below_deg is not None:
+                if tri.min_angle(tid) < highlight_below_deg:
+                    fill = skinny
+            yield (f'<polygon points="{sx[a]},{sy[a]} {sx[b]},{sy[b]} '
+                   f'{sx[c]},{sy[c]}{fill}')
+        tail = f'stroke="#000" stroke-width="{3 * stroke * scale:.3f}"/>\n'
+        for (u, v) in tri.subsegments:
+            yield f'<line x1="{sx[u]}" y1="{sy[u]}" x2="{sx[v]}" y2="{sy[v]}" {tail}'
+        yield "</svg>\n"
+
+    return _write_lines(lines(), out)
 
 
 def run_report(outcome: RefinementOutcome, source: dict,
@@ -215,15 +223,20 @@ def _cmd_refine(args) -> int:
     report = run_report(
         outcome, source, None if args.no_timestamp else wall
     )
-    Path(prefix + ".report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
-    Path(prefix + ".trace.jsonl").write_text(outcome.trace.to_jsonl())
-    Path(prefix + ".node").write_text(write_node(outcome.triangulation))
-    Path(prefix + ".ele").write_text(write_ele(outcome.triangulation))
-    Path(prefix + ".svg").write_text(
-        mesh_to_svg(outcome.triangulation, highlight_below_deg=args.alpha)
-    )
+    # no file is opened before the run and its report are done, so a
+    # failed run writes nothing; each artifact streams into its file
+    tri = outcome.triangulation
+    writers = {
+        "report.json": lambda f: f.write(
+            json.dumps(report, sort_keys=True, indent=2) + "\n"),
+        "trace.jsonl": outcome.trace.to_jsonl,
+        "node": lambda f: write_node(tri, f),
+        "ele": lambda f: write_ele(tri, f),
+        "svg": lambda f: mesh_to_svg(tri, args.alpha, f),
+    }
+    for suffix, write in writers.items():
+        with open(f"{prefix}.{suffix}", "w") as f:
+            write(f)
     print(
         f"{args.alg} alpha={args.alpha}: {outcome.status} after "
         f"{outcome.insertions} insertions "

@@ -87,8 +87,28 @@ class EngineError(RuntimeError):
     pass
 
 
-# one encoder for every event; json.dumps would build one per call
+# one encoder for every event's kind and non-finite floats; json.dumps
+# would build one per call
 _encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _num(v) -> str:
+    """A field as json.dumps writes it: null, or the number's repr (the
+    encoder's NaN, Infinity or -Infinity for a non-finite float)."""
+    if v is None:
+        return "null"
+    if v - v == 0:  # false for inf and nan
+        return repr(v)
+    return _encode(v)
+
+
+def _write_lines(lines, out=None) -> Optional[str]:
+    """Join the lines into one string, or, given an open text stream,
+    write them into it one at a time and return None."""
+    if out is None:
+        return "".join(lines)
+    out.writelines(lines)
+    return None
 
 
 @dataclass(frozen=True)
@@ -118,7 +138,13 @@ class TraceEvent:
     y: Optional[float]
 
     def to_json(self) -> str:
-        return _encode(vars(self))
+        # json.dumps(asdict(self), sort_keys=True), without building a dict
+        return (
+            f'{{"kind": {_encode(self.kind)}, "length": {_num(self.length)}, '
+            f'"lineage": {_num(self.lineage)}, '
+            f'"min_angle_deg": {_num(self.min_angle_deg)}, '
+            f'"seq": {_num(self.seq)}, "x": {_num(self.x)}, "y": {_num(self.y)}}}'
+        )
 
 
 _EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
@@ -137,10 +163,9 @@ class RefinementTrace:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
 
-    def to_jsonl(self) -> str:
-        lines = [e.to_json() for e in self.events]
-        lines.append("")
-        return "\n".join(lines)
+    def to_jsonl(self, out=None) -> Optional[str]:
+        """One JSON line per event; written into ``out`` if one is given."""
+        return _write_lines((e.to_json() + "\n" for e in self.events), out)
 
     @staticmethod
     def from_jsonl(text: str) -> "RefinementTrace":

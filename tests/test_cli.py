@@ -1,15 +1,19 @@
 import hashlib
+import io
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from refinelab import analysis
+from refinelab import analysis, cli
 from refinelab.cli import main, mesh_to_svg, write_ele, write_node
 from refinelab.cdt import Triangulation
 from refinelab.geom import Point
-from refinelab.generators import pinwheel
+from refinelab.generators import pav, pinwheel
 from refinelab.pslg import Pslg, Segment, parse_poly, write_poly
+from refinelab.refine import RefinementConfig, RefinementTrace, ruppert
+from test_cdt import islanded_pslg
 
 
 def read(path):
@@ -171,7 +175,8 @@ class TestRefine:
                      "--out-prefix", str(tmp_path / "huge")])
         assert code == 2
         assert capsys.readouterr().err.startswith("input error: ")
-        assert not (tmp_path / "huge.report.json").exists()
+        # none of the five artifacts, not even an empty one
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.poly"]
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         poly = tmp_path / "pin4.poly"
@@ -284,6 +289,80 @@ class TestWriters:
         assert len(polys) == len(tri.triangles)
         fills = {e.get("fill") for e in polys}
         assert "#e05545" in fills  # the designed skinny triangle is highlighted
+
+
+_WRITER_INPUTS = ("built-pinwheel4", "built-island", "refined-pav")
+
+
+def _writer_input(name):
+    """A mesh and its trace; a built mesh has an empty trace."""
+    if name == "refined-pav":
+        out = ruppert(pav(1e-3), RefinementConfig(alpha_deg=25))
+        return out.triangulation, out.trace
+    pslg = pinwheel(4) if name == "built-pinwheel4" else islanded_pslg()
+    return Triangulation.build(pslg), RefinementTrace(())
+
+
+_WRITERS = {
+    "node": lambda tri, trace, out=None: write_node(tri, out),
+    "ele": lambda tri, trace, out=None: write_ele(tri, out),
+    "svg": lambda tri, trace, out=None: mesh_to_svg(tri, None, out),
+    "svg-highlight": lambda tri, trace, out=None: mesh_to_svg(tri, 25.0, out),
+    "trace": lambda tri, trace, out=None: trace.to_jsonl(out),
+}
+
+
+class TestStreamingWriters:
+    @pytest.mark.parametrize("writer", list(_WRITERS))
+    @pytest.mark.parametrize("mesh", _WRITER_INPUTS)
+    def test_stream_equals_string(self, mesh, writer):
+        tri, trace = _writer_input(mesh)
+        write = _WRITERS[writer]
+        out = io.StringIO()
+        assert write(tri, trace, out) is None
+        text = write(tri, trace)
+        assert out.getvalue() == text
+        assert text.endswith("\n") or text == ""
+
+    @staticmethod
+    def peak(fn):
+        """The most memory fn's allocations held at once, in bytes."""
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def refined(self):
+        return ruppert(pinwheel(5), RefinementConfig(alpha_deg=34, max_insertions=2000))
+
+    @pytest.mark.parametrize("writer", ["svg-highlight", "trace"])
+    def test_streaming_holds_less_than_half_the_string(self, refined, tmp_path,
+                                                       writer):
+        # the joined string costs about 3x the file (lines, string and a
+        # copy); streamed, the SVG holds its formatted vertex coordinates
+        args = refined.triangulation, refined.trace
+        write = _WRITERS[writer]
+        whole = self.peak(lambda: write(*args))
+        with open(tmp_path / writer, "w") as f:
+            streamed = self.peak(lambda: write(*args, f))
+        assert streamed < whole / 2
+
+    def test_refine_streams_its_artifacts(self, refined, tmp_path, monkeypatch,
+                                          capsys):
+        # with the engine's run done beforehand, what refine allocates is
+        # its report and its writing
+        monkeypatch.setattr(cli, "ruppert", lambda pslg, cfg: refined)
+        poly = tmp_path / "pin5.poly"
+        poly.write_text(write_poly(pinwheel(5)))
+        argv = ["refine", str(poly), "--alg", "ruppert", "--alpha", "34",
+                "--out-prefix", str(tmp_path / "pin5")]
+        svg = self.peak(lambda: mesh_to_svg(refined.triangulation, 34.0))
+        assert self.peak(lambda: main(argv)) < svg / 2
+        with open(tmp_path / "pin5.svg") as f:
+            assert f.read() == mesh_to_svg(refined.triangulation, 34.0)
 
 
 class TestArtifactDigests:

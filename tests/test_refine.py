@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import json
 import math
 import os
 import subprocess
@@ -308,12 +310,48 @@ class TestDeterminismAndEquivariance:
         assert len(digests) == 1 and len(digests.pop()) == 64
 
 
+def _events(finite):
+    """Trace events whose optional fields are None, ints or floats: the
+    signed zeros, subnormals and extremes, and, unless ``finite``, NaN
+    and the infinities."""
+    specials = () if finite else (math.nan, math.inf, -math.inf)
+    field = st.one_of(
+        st.none(), st.integers(),
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308)
+                        + specials),
+        st.floats(allow_nan=not finite, allow_infinity=not finite),
+    )
+    kind = st.one_of(
+        st.sampled_from((SEGMENT_SPLIT, CIRCUMCENTER_INSERT,
+                         CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
+                         refine.VERTEX_DELETED)),
+        st.text(max_size=8),
+    )
+    return st.builds(TraceEvent, st.integers(min_value=0), kind,
+                     field, field, field, field, field)
+
+
 class TestTraceAndAudit:
     def test_trace_serialization_round_trip(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=50))
         text = out.trace.to_jsonl()
         back = RefinementTrace.from_jsonl(text)
         assert back == out.trace
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_events(finite=False))
+    def test_event_line_is_json_dumps_of_its_fields(self, e):
+        assert e.to_json() == json.dumps(dataclasses.asdict(e), sort_keys=True)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(_events(finite=True), max_size=20))
+    def test_finite_trace_round_trips(self, events):
+        t = RefinementTrace(tuple(events))
+        text = t.to_jsonl()
+        back = RefinementTrace.from_jsonl(text)
+        assert back == t
+        assert back.to_jsonl() == text  # the sign of a zero survives too
 
     def test_trace_line_without_a_field_names_its_line(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=5))
