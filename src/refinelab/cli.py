@@ -6,6 +6,11 @@ that lands outside it ends the run with exit 3.  All numeric arguments
 are degrees; reports echo the full configuration so runs can be
 reproduced byte for byte (pass ``--no-timestamp`` to omit wall-clock
 fields from JSON output).
+
+``refine`` opens its five artifacts only after the run and its report
+are done, so a failed run writes nothing.  The trace, ``.node``, ``.ele``
+and SVG writers then write their lines straight into the open files;
+called without a stream, they return the whole text instead.
 """
 
 from __future__ import annotations

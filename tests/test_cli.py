@@ -307,7 +307,7 @@ _WRITERS = {
     "node": lambda tri, trace, out=None: write_node(tri, out),
     "ele": lambda tri, trace, out=None: write_ele(tri, out),
     "svg": lambda tri, trace, out=None: mesh_to_svg(tri, None, out),
-    "svg-highlight": lambda tri, trace, out=None: mesh_to_svg(tri, 25.0, out),
+    "svg-highlight": lambda tri, trace, out=None: mesh_to_svg(tri, 31.0, out),
     "trace": lambda tri, trace, out=None: trace.to_jsonl(out),
 }
 
@@ -341,8 +341,9 @@ class TestStreamingWriters:
     @pytest.mark.parametrize("writer", ["svg-highlight", "trace"])
     def test_streaming_holds_less_than_half_the_string(self, refined, tmp_path,
                                                        writer):
-        # the joined string costs about 3x the file (lines, string and a
-        # copy); streamed, the SVG holds its formatted vertex coordinates
+        # the joined string path holds about three times the file, its
+        # lines and the string; streamed, the SVG holds little more than
+        # its formatted vertex coordinates
         args = refined.triangulation, refined.trace
         write = _WRITERS[writer]
         whole = self.peak(lambda: write(*args))
