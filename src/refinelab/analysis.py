@@ -354,7 +354,7 @@ def threshold_scan(
     probe stops at its first DIVERGING verdict.  An inconclusive probe is
     retried once with a four times larger insertion budget.
 
-    The engine runs once, at ``hi`` (twice if that run is inconclusive),
+    The engine runs once, at ``hi`` with the four times larger budget,
     and every probe is read from that run's trace.  The engines read the
     angle only where they queue a skinny triangle, so take a < b: every
     triangle the run at b queues and the run at a does not has a minimum
@@ -364,9 +364,11 @@ def threshold_scan(
     TERMINATED just before the first circumcenter inserted or rejected
     at an angle of at least a (the run at b went on, so the budget was
     not spent there), and with no such event it is the run at b, status
-    and verdict included.  A four times larger budget only extends a
-    run, so an inconclusive probe's widened run is read from the widened
-    run at ``hi``.  Each probe therefore equals the probe's own run.
+    and verdict included.  The budget is read only at the head of the
+    engine's loop, and a DIVERGING verdict stops a run at the split that
+    gives it, so a run that is conclusive under the base budget ends at
+    the same event under the larger one, and one that is not is the
+    widened run.  Each probe therefore equals the probe's own run.
     """
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
@@ -376,13 +378,10 @@ def threshold_scan(
         raise ScanError(f"unknown algorithm {algorithm!r}")
     pslg = _as_pslg(target)
     engine = ruppert if algorithm == RUPPERT else chew2
-    cfg = replace(base_cfg or RefinementConfig(alpha_deg=lo), alpha_deg=hi)
+    base = base_cfg or RefinementConfig(alpha_deg=lo)
+    cfg = replace(base, alpha_deg=hi, max_insertions=4 * base.max_insertions)
     run = engine(pslg, cfg, stop=CascadeChecker().feed)
     verdict = classify(run)
-    if verdict.status == INCONCLUSIVE:
-        cfg = replace(cfg, max_insertions=4 * cfg.max_insertions)
-        run = engine(pslg, cfg, stop=CascadeChecker().feed)
-        verdict = classify(run)
     probes: list[ScanProbe] = []
 
     def probe(alpha: float) -> ScanProbe:

@@ -22,7 +22,10 @@ vertices inside it, so the boxes holding a point, and the vertices near
 a subsegment, are found without a scan; every operation keeps this index
 current, and ``check`` compares it with one rebuilt from scratch.  The
 first subsegment crossed on a path is found by walking the triangles
-along it.
+along it from the one whose interior holds its start, through the
+interiors of their edges; where the path starts on an edge, at a vertex
+or off the mesh, meets a vertex, or leaves the mesh, the index answers
+for the rest of it.
 
 All orientation and incircle decisions go through the exact predicates
 in :mod:`refinelab.geom`; ties (cocircular quads) are left unflipped, so
@@ -384,9 +387,6 @@ class Triangulation:
 
     def vertex_count(self) -> int:
         return sum(self.alive)
-
-    def is_subsegment(self, u: int, v: int) -> bool:
-        return _edge_key(u, v) in self.subsegments
 
     def subsegs_near(self, p: Point) -> list[tuple[int, int]]:
         """The subsegments whose padded diametral box (the float midpoint
@@ -774,10 +774,12 @@ class Triangulation:
         lying exactly on a subsegment's interior counts as crossed;
         passages exactly through segment endpoints, or along a
         subsegment, do not.  The walk goes through the triangles along
-        g -> c from the one holding g, located from ``start`` as in
-        ``locate``; where the path leaves the triangulation, into a hole
-        or past the hull, the rest of it is answered from the subsegment
-        index (``_crossing_beyond``).
+        g -> c from the one whose interior holds g, located from
+        ``start`` as in ``locate``.  Wherever it cannot go on through
+        the interior of an edge (g on an edge, at a vertex or off the
+        mesh, the path through a vertex, or out through an edge with no
+        triangle beyond), the rest of the path is answered from the
+        subsegment index (``_crossing_beyond``).
         """
         gx, gy = g
         cx, cy = c
@@ -793,87 +795,45 @@ class Triangulation:
                 s = sides[w] = orient_sign(gx, gy, cx, cy, p[0], p[1])
             return s
 
-        def ahead(p, q):  # p strictly past q, both on the line g -> c
-            if cx != gx:
-                return p[0] > q[0] if cx > gx else p[0] < q[0]
-            return p[1] > q[1] if cy > gy else p[1] < q[1]
-
-        # the walk is at vertex w of triangle tid, or, with w None, inside
-        # triangle tid, which the path g -> c runs through
         where = self.locate(gx, gy, start)
-        w = None
-        if where[0] == "outside":
+        if where[0] != "in":
             return self._crossing_beyond(g, c, g)
-        if where[0] == "vertex":
-            w = where[1]
-            tid = self._tri_of_vertex(w)
-        elif where[0] == "in":
-            tid = where[1]
-        else:
-            (u, v), tid = where[1], where[2]
-            if side(u) == 0:  # along the edge g lies on
-                w = u if ahead(pts[u], g) else v
-                if not ahead(c, pts[w]):
-                    return None
-            elif side(u) < 0:  # into the triangle across the edge
-                tid = self._neighbor(tid, u, v)
-                if tid is None:
-                    return self._crossing_beyond(g, c, g)
+        tid = where[1]
         while True:
-            if w is None:
-                a, b, d = self.triangles[tid]
-                # the path leaves a CCW triangle through the edge u -> v
-                # that runs from its right to its left, or else through
-                # the one vertex on its line
-                for u, v in ((a, b), (b, d), (d, a)):
-                    if side(u) < 0 < side(v):
-                        break
-                else:
-                    w, v = (a, b) if side(a) == 0 else (
-                        (b, d) if side(b) == 0 else (d, a))
-                    pw, pv = pts[w], pts[v]
-                    if orient_sign(pw[0], pw[1], pv[0], pv[1], cx, cy) >= 0:
-                        return None  # c is in the triangle or at w
-                    continue
-                pu, pv = pts[u], pts[v]
-                o = orient_sign(pu[0], pu[1], pv[0], pv[1], cx, cy)
-                if o > 0:
-                    return None
-                key = _edge_key(u, v)
-                if key in self.subsegments:
-                    return key
-                if o == 0:
-                    return None
-                tid = self._neighbor(tid, u, v)
-                if tid is None:
-                    return self._crossing_beyond(g, c, pu, pv)
-                continue
-            # through vertex w: into the triangle around w that the path
-            # enters, or along the edge from w that it follows
-            pw = pts[w]
-            for t in self._fan(w, tid):
-                a, b, d = self.triangles[t]
-                p, q = (b, d) if w == a else (d, a) if w == b else (a, b)
-                if side(p) < 0 < side(q):
-                    w, tid = None, t
+            a, b, d = self.triangles[tid]
+            # the path leaves a CCW triangle through the edge u -> v that
+            # runs from its right to its left, or else through the one
+            # vertex on its line
+            for u, v in ((a, b), (b, d), (d, a)):
+                if side(u) < 0 < side(v):
                     break
-                n = p if side(p) == 0 and ahead(pts[p], pw) else (
-                    q if side(q) == 0 and ahead(pts[q], pw) else None)
-                if n is not None:
-                    if not ahead(c, pts[n]):
-                        return None  # c is on the edge or at its end
-                    w, tid = n, t
-                    break
-            else:  # the path leaves the triangulation at w
+            else:
+                w, v = (a, b) if side(a) == 0 else (
+                    (b, d) if side(b) == 0 else (d, a))
+                pw, pv = pts[w], pts[v]
+                if orient_sign(pw[0], pw[1], pv[0], pv[1], cx, cy) >= 0:
+                    return None  # c is in the triangle or at w
                 return self._crossing_beyond(g, c, pw)
+            pu, pv = pts[u], pts[v]
+            o = orient_sign(pu[0], pu[1], pv[0], pv[1], cx, cy)
+            if o > 0:
+                return None
+            key = _edge_key(u, v)
+            if key in self.subsegments:
+                return key
+            if o == 0:
+                return None
+            tid = self._neighbor(tid, u, v)
+            if tid is None:
+                return self._crossing_beyond(g, c, pu, pv)
 
     def _crossing_beyond(self, g: Point, c: Point, *before) -> Optional[tuple]:
-        """First subsegment properly crossed on g -> c, where the path
-        has crossed none before it leaves the triangulation at a point in
-        the bounding box of ``before``.  The candidates are the indexed
-        subsegments that meet the bounding box of ``before`` and c, so
-        every crossing still ahead is among them, also one across a hole
-        or on an island inside it."""
+        """First subsegment properly crossed on g -> c, given a point of
+        the path in the bounding box of ``before`` that it reaches
+        without a crossing.  The candidates are the indexed subsegments
+        that meet the bounding box of ``before`` and c, so every crossing
+        beyond that point is among them, also one across a hole or on an
+        island inside it."""
         gx, gy = g
         cx, cy = c
         xs = [p[0] for p in before] + [cx]

@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import asdict
+from itertools import accumulate
 from pathlib import Path
 
 from . import analysis, generators
@@ -61,22 +62,13 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _alive_index(tri: Triangulation) -> dict[int, int]:
-    """Output index of each alive vertex, in vertex-id order."""
-    alive = [vid for vid, ok in enumerate(tri.alive) if ok]
-    return {vid: new for new, vid in enumerate(alive)}
-
-
 def write_node(tri: Triangulation, out=None) -> str | None:
     """Vertex list in .node convention (alive vertices, reindexed); written
     into ``out`` if one is given."""
-    index = _alive_index(tri)
-    pts = tri.points
-
     def lines():
-        yield f"{len(index)} 2 0 0\n"
-        for vid, new in index.items():
-            p = pts[vid]
+        yield f"{tri.vertex_count()} 2 0 0\n"
+        alive = (p for p, ok in zip(tri.points, tri.alive) if ok)
+        for new, p in enumerate(alive):
             yield f"{new} {_fmt(p.x)} {_fmt(p.y)}\n"
 
     return _write_lines(lines(), out)
@@ -85,7 +77,8 @@ def write_node(tri: Triangulation, out=None) -> str | None:
 def write_ele(tri: Triangulation, out=None) -> str | None:
     """Triangle list in .ele convention, matching write_node's indices;
     written into ``out`` if one is given."""
-    index = _alive_index(tri)
+    # index[vid]: the alive vertices before vid, write_node's index of vid
+    index = list(accumulate(tri.alive, initial=0))
     tris = tri.triangles
 
     def lines():

@@ -66,7 +66,7 @@ class TestBuild:
         t = Triangulation.build(square_pslg())
         assert len(t.triangles) == 2
         for seg in ((0, 1), (1, 2), (2, 3), (0, 3)):
-            assert t.is_subsegment(*seg)
+            assert seg in t.subsegments
         assert t.check() == []
 
     def test_pinwheel_fan_triangle_is_delaunay(self):
@@ -113,7 +113,7 @@ class TestBuild:
             ),
         )
         t = Triangulation.build(p)
-        assert t.is_subsegment(4, 5)
+        assert (4, 5) in t.subsegments
         assert t.check() == []
 
     def test_hole_carving(self):
@@ -325,7 +325,7 @@ class TestDelete:
         res = t.insert_vertex(Point(2.0, 0.5), CIRCUMCENTER)
         t.delete_vertex(res.vertex)
         for seg in ((0, 1), (1, 2), (2, 3), (0, 3)):
-            assert t.is_subsegment(*seg)
+            assert seg in t.subsegments
         assert t.check() == []
 
 
@@ -444,6 +444,12 @@ class TestConstraintWalk:
         "along-subsegment": (walk_pslg, (0.5, 1), (3.5, 1), None),
         "along-subsegment-then-out": (walk_pslg, (0.5, 1), (5, 1), (1, 2)),
         "g-on-subsegment": (walk_pslg, (1.5, 1), (1.5, 3), None),
+        # g on the plain edge (1, 1)-(2, 3)
+        "g-on-edge-then-crossing": (walk_pslg, (1.5, 2), (1.5, 0.5), (4, 5)),
+        # through (2, 3), along the plain edge to (3, 1), past the
+        # subsegment's endpoint there, and out across the bottom side
+        "through-vertex-along-edge-then-crossing":
+            (walk_pslg, (1.75, 3.5), (3.75, -0.5), (0, 1)),
         "g-at-vertex": (walk_pslg, (2, 3), (2, 0.5), (4, 5)),
         "g-at-corner": (walk_pslg, (0, 4), (2, 0.5), (4, 5)),
         "g-at-hole-corner": (holed_pslg, (1, 1), (3.5, 0.5), (8, 9)),

@@ -626,6 +626,31 @@ class TestLocalQueries:
             assert not all(tri.alive)
             assert any(tag == SEGMENT_MIDPOINT for tag in tri.tags)
 
+    def test_crossing_walk_answers_without_the_index(self, monkeypatch):
+        # chew2's visibility queries on the cascade inputs start inside a
+        # triangle and cross only edge interiors, so the walk alone answers
+        # them; the index fallback is for degenerate paths
+        queries = fallbacks = 0
+        walk = Triangulation.first_constraint_crossing
+        beyond = Triangulation._crossing_beyond
+
+        def query(tri, *args):
+            nonlocal queries
+            queries += 1
+            return walk(tri, *args)
+
+        def fallback(tri, *args):
+            nonlocal fallbacks
+            fallbacks += 1
+            return beyond(tri, *args)
+
+        monkeypatch.setattr(Triangulation, "first_constraint_crossing", query)
+        monkeypatch.setattr(Triangulation, "_crossing_beyond", fallback)
+        for pslg, alpha in ((pinwheel(4), 31), (pav(1e-3), 31), (pinwheel(5), 34)):
+            chew2(pslg, RefinementConfig(alpha_deg=alpha))
+        assert queries > 2000
+        assert fallbacks == 0
+
     def test_cost_per_insertion_stays_flat(self, monkeypatch):
         # the candidates the queries examine between one new vertex and the
         # next: every box test (point queries, and the filtering of a split
