@@ -627,7 +627,7 @@ class TestLocalQueries:
             assert any(tag == SEGMENT_MIDPOINT for tag in tri.tags)
 
     def test_crossing_walk_answers_without_the_index(self, monkeypatch):
-        # chew2's visibility queries on the cascade inputs start inside a
+        # chew2's visibility queries on these inputs start inside a
         # triangle and cross only edge interiors, so the walk alone answers
         # them; the index fallback is for degenerate paths
         queries = fallbacks = 0
