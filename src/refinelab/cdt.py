@@ -24,8 +24,9 @@ current, and ``check`` compares it with one rebuilt from scratch.  The
 first subsegment crossed on a path is found by walking the triangles
 along it from the one whose interior holds its start, through the
 interiors of their edges; where the path starts on an edge, at a vertex
-or off the mesh, meets a vertex, or leaves the mesh, the index answers
-for the rest of it.
+or off the mesh, meets a vertex, or leaves the mesh, a scan of every
+subsegment answers instead, as ``locate`` scans every triangle when its
+walk fails.
 
 All orientation and incircle decisions go through the exact predicates
 in :mod:`refinelab.geom`; ties (cocircular quads) are left unflipped, so
@@ -226,29 +227,6 @@ class _BoxIndex:
         found = [k for k in found if _in_box(boxes[k], px, py)]
         self._last = (p, found)
         return found
-
-    def overlapping(self, lox: float, hix: float, loy: float, hiy: float
-                    ) -> list[tuple[int, int]]:
-        """The subsegments with a cell that meets the cells of the
-        rectangle [lox, hix] x [loy, hiy], in creation order.  The widened
-        box of a subsegment holds the whole subsegment, so this includes
-        every subsegment that meets the rectangle.  Each level costs its
-        rectangle cells or its occupied cells, whichever are fewer."""
-        floor = math.floor
-        found = set()
-        for s, grid in self.levels.values():
-            i0, i1 = floor(lox * s), floor(hix * s)
-            j0, j1 = floor(loy * s), floor(hiy * s)
-            if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(grid):
-                for i in range(i0, i1 + 1):
-                    for j in range(j0, j1 + 1):
-                        found.update(grid.get((i, j), ()))
-            else:
-                for (i, j), keys in grid.items():
-                    if i0 <= i <= i1 and j0 <= j <= j1:
-                        found.update(keys)
-        boxes = self.boxes
-        return sorted(found, key=lambda k: boxes[k][3])
 
     def add_vertex(self, vid: int) -> None:
         for key in self.near(self.points[vid]):
@@ -778,13 +756,11 @@ class Triangulation:
         ``start`` as in ``locate``.  Wherever it cannot go on through
         the interior of an edge (g on an edge, at a vertex or off the
         mesh, the path through a vertex, or out through an edge with no
-        triangle beyond), the rest of the path is answered from the
-        subsegment index (``_crossing_beyond``).
+        triangle beyond), a scan of every subsegment answers instead
+        (``_crossing_beyond``), as ``locate`` scans every triangle.
         """
         gx, gy = g
         cx, cy = c
-        if gx == cx and gy == cy:
-            return None
         pts = self.points
         sides: dict[int, int] = {}
 
@@ -797,23 +773,17 @@ class Triangulation:
 
         where = self.locate(gx, gy, start)
         if where[0] != "in":
-            return self._crossing_beyond(g, c, g)
+            return self._crossing_beyond(g, c)
         tid = where[1]
         while True:
             a, b, d = self.triangles[tid]
             # the path leaves a CCW triangle through the edge u -> v that
-            # runs from its right to its left, or else through the one
-            # vertex on its line
+            # runs from its right to its left, or else through a vertex
             for u, v in ((a, b), (b, d), (d, a)):
                 if side(u) < 0 < side(v):
                     break
             else:
-                w, v = (a, b) if side(a) == 0 else (
-                    (b, d) if side(b) == 0 else (d, a))
-                pw, pv = pts[w], pts[v]
-                if orient_sign(pw[0], pw[1], pv[0], pv[1], cx, cy) >= 0:
-                    return None  # c is in the triangle or at w
-                return self._crossing_beyond(g, c, pw)
+                return self._crossing_beyond(g, c)
             pu, pv = pts[u], pts[v]
             o = orient_sign(pu[0], pu[1], pv[0], pv[1], cx, cy)
             if o > 0:
@@ -825,22 +795,16 @@ class Triangulation:
                 return None
             tid = self._neighbor(tid, u, v)
             if tid is None:
-                return self._crossing_beyond(g, c, pu, pv)
+                return self._crossing_beyond(g, c)
 
-    def _crossing_beyond(self, g: Point, c: Point, *before) -> Optional[tuple]:
-        """First subsegment properly crossed on g -> c, given a point of
-        the path in the bounding box of ``before`` that it reaches
-        without a crossing.  The candidates are the indexed subsegments
-        that meet the bounding box of ``before`` and c, so every crossing
-        beyond that point is among them, also one across a hole or on an
-        island inside it."""
+    def _crossing_beyond(self, g: Point, c: Point) -> Optional[tuple]:
+        """First subsegment properly crossed on g -> c, for any g and c:
+        every subsegment is tested, and the crossing nearest g wins."""
         gx, gy = g
         cx, cy = c
-        xs = [p[0] for p in before] + [cx]
-        ys = [p[1] for p in before] + [cy]
         best_t = best_key = None
         pts = self.points
-        for key in self._index.overlapping(min(xs), max(xs), min(ys), max(ys)):
+        for key in self.subsegments:
             a, b = pts[key[0]], pts[key[1]]
             o_a = orient_sign(gx, gy, cx, cy, a[0], a[1])
             o_b = orient_sign(gx, gy, cx, cy, b[0], b[1])
@@ -892,6 +856,8 @@ class Triangulation:
         tris, nbr, pts = self.triangles, self._nbr, self.points
         owner: dict[tuple[int, int], int] = {}  # directed edge -> triangle
         linked = True
+        if list(tris) != sorted(tris):
+            problems.append("triangle ids are not in increasing order")
         for tid, (a, b, c) in tris.items():
             pa, pb, pc = pts[a], pts[b], pts[c]
             if orient_sign(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1]) <= 0:

@@ -83,8 +83,9 @@ def write_ele(tri: Triangulation, out=None) -> str | None:
 
     def lines():
         yield f"{len(tris)} 3 0\n"
-        for i, tid in enumerate(sorted(tris)):
-            a, b, c = tris[tid]
+        # ids only grow and a dict keeps insertion order, so the triangles
+        # come in id order (``Triangulation.check`` reports otherwise)
+        for i, (a, b, c) in enumerate(tris.values()):
             yield f"{i} {index[a]} {index[b]} {index[c]}\n"
 
     return _write_lines(lines(), out)
@@ -124,9 +125,8 @@ def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None,
         tail = f'stroke="#777" stroke-width="{stroke * scale:.3f}"/>\n'
         plain = f'" fill="#e8e8e8" {tail}'
         skinny = f'" fill="#e05545" {tail}'
-        tris = tri.triangles
-        for tid in sorted(tris):
-            a, b, c = tris[tid]
+        # in id order, as write_ele writes them
+        for tid, (a, b, c) in tri.triangles.items():
             fill = plain
             if highlight_below_deg is not None:
                 if tri.min_angle(tid) < highlight_below_deg:

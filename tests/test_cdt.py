@@ -511,6 +511,30 @@ class TestConstraintWalk:
             t.points, t.subsegments, g, c
         )
 
+    # the scan the walk falls back on answers for any g and c, not only
+    # from a point the walk has reached; subsegment midpoints put c on a
+    # subsegment's interior
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_scan_matches_oracle_anywhere(self, data):
+        make = data.draw(st.sampled_from(
+            [lambda: self.refined(holed_pslg), lambda: self.refined(islanded_pslg),
+             lambda: Triangulation.build(dented_pslg())]))
+        t = make()
+        grid = st.integers(-4, 68).map(lambda k: k / 8)
+        pts = t.points
+        points = st.one_of(
+            st.builds(Point, grid, grid),
+            st.sampled_from([p for p, ok in zip(pts, t.alive) if ok]),
+            st.sampled_from([Point((pts[u].x + pts[v].x) / 2,
+                                   (pts[u].y + pts[v].y) / 2)
+                             for u, v in t.subsegments]),
+        )
+        g, c = data.draw(points), data.draw(points)
+        assert t._crossing_beyond(g, c) == first_crossing_oracle(
+            t.points, t.subsegments, g, c
+        )
+
 
 class TestLocate:
     # a walk from across a hole meets the hole's rim, with no triangle
@@ -684,6 +708,13 @@ class TestCheck:
         assert t.check() == [
             f"neighbour {i} of triangle {first} is {other}, not {want}"
         ]
+
+    def test_triangle_ids_out_of_order_are_reported(self):
+        # the mesh writers rely on the triangles iterating in id order
+        t = Triangulation.build(walk_pslg())
+        first = next(iter(t.triangles))
+        t.triangles[first] = t.triangles.pop(first)
+        assert t.check() == ["triangle ids are not in increasing order"]
 
     # the local audit tests only the edges between neighbours; by the
     # constrained Delaunay lemma it must agree with the brute-force

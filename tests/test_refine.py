@@ -629,7 +629,7 @@ class TestLocalQueries:
     def test_crossing_walk_answers_without_the_index(self, monkeypatch):
         # chew2's visibility queries on these inputs start inside a
         # triangle and cross only edge interiors, so the walk alone answers
-        # them; the index fallback is for degenerate paths
+        # them; the scan fallback is for degenerate paths
         queries = fallbacks = 0
         walk = Triangulation.first_constraint_crossing
         beyond = Triangulation._crossing_beyond
