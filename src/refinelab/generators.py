@@ -96,24 +96,62 @@ def _fan(arms: list[tuple[float, float]]) -> Pslg:
     return Pslg(tuple(vertices), tuple(segments))
 
 
+def _distance(ax: float, ay: float, bx: float, by: float) -> float:
+    """Float distance between two points as ``sqrt(dx*dx + dy*dy)``;
+    enclose's diameter is defined by this rounding, not by
+    ``math.hypot``'s."""
+    dx = ax - bx
+    dy = ay - by
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
     """Wrap a configuration in an axis-aligned square of constraints.
 
     The side is scale times the configuration diameter, rounded up to a
     power of two so enclosure coordinates behave exactly under halving.
+
+    The diameter is the largest float distance over all vertex pairs, but
+    most pairs are never measured.  With the bounding box [lox, hix] x
+    [loy, hiy], vertex i gets the reach ``sqrt(rx*rx + ry*ry)``, where
+    ``rx = max(x - lox, hix - x)`` and ``ry`` likewise.  Every other x
+    lies in [lox, hix], and rounding is monotone and symmetric, so the
+    rounded difference of the two x has magnitude at most ``rx``; the
+    same holds in y, and squaring, adding and the square root are
+    monotone too.  So no float distance from vertex i exceeds its reach,
+    exactly, with no tolerance, also where products underflow or
+    overflow; non-finite vertices are rejected first, so no NaN enters
+    the comparisons.  Vertices are visited in decreasing reach and a row stops
+    at the first reach below the diameter found so far; the maximum of
+    the same floats does not depend on their order, so the result is
+    that of the all-pairs loop.  A cloud needs a few dozen distances;
+    points on a circle, whose every reach is at least the diameter,
+    still need all pairs.
     """
     if not scale >= 3:
         raise ValueError("enclosure scale must be at least 3")
+    for i, v in enumerate(p.vertices):
+        if not (math.isfinite(v.x) and math.isfinite(v.y)):
+            raise ValueError(f"vertex {i} at ({v.x}, {v.y}) is not finite")
     xs = [v.x for v in p.vertices]
     ys = [v.y for v in p.vertices]
-    cx = (min(xs) + max(xs)) / 2.0
-    cy = (min(ys) + max(ys)) / 2.0
+    lox, hix, loy, hiy = min(xs), max(xs), min(ys), max(ys)
+    cx = (lox + hix) / 2.0
+    cy = (loy + hiy) / 2.0
+    reach = []
+    for x, y in zip(xs, ys):
+        rx = max(x - lox, hix - x)
+        ry = max(y - loy, hiy - y)
+        reach.append(math.sqrt(rx * rx + ry * ry))
+    order = sorted(range(len(xs)), key=reach.__getitem__, reverse=True)
     diam = 0.0
-    for i in range(len(p.vertices)):
-        for j in range(i + 1, len(p.vertices)):
-            dx = xs[i] - xs[j]
-            dy = ys[i] - ys[j]
-            diam = max(diam, math.sqrt(dx * dx + dy * dy))
+    for k, i in enumerate(order):
+        if reach[i] < diam:
+            break
+        for j in order[k + 1:]:
+            if reach[j] < diam:
+                break
+            diam = max(diam, _distance(xs[i], ys[i], xs[j], ys[j]))
     if diam == 0.0:
         raise ValueError("configuration has no extent to enclose")
     if not scale * diam <= 2.0 ** 1023:

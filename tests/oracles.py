@@ -5,7 +5,8 @@ determinants, exhaustive scans) and deliberately shares no code with the
 implementation under test, except ``geom.encroaches``, the definition of
 encroachment that the two whole-mesh encroachment scans below apply,
 ``geom.DegenerateTriangleError``, which the reference ``min_angle_deg``
-raises as the real one does, and the engines and the verdict that the
+raises as the real one does, the ``Point``, ``Pslg`` and ``Segment`` types
+that the reference enclosure returns, and the engines and the verdict that the
 reference threshold scan runs probe by probe.
 """
 
@@ -26,7 +27,8 @@ from refinelab.analysis import (
     _as_pslg,
     classify,
 )
-from refinelab.geom import DegenerateTriangleError, encroaches
+from refinelab.geom import DegenerateTriangleError, Point, encroaches
+from refinelab.pslg import Pslg, Segment
 from refinelab.refine import CHEW2, RUPPERT, RefinementConfig, chew2, ruppert
 
 
@@ -348,6 +350,49 @@ def validate_oracle(p):
             ):
                 out.append(("vertex_on_segment", (j, k1)))
     return out
+
+
+# generators.enclose as it was before it pruned pairs by reach: every
+# vertex pair is measured
+def enclose_oracle(p: Pslg, scale: float = 4.0) -> Pslg:
+    """Wrap a configuration in an axis-aligned square of constraints.
+
+    The side is scale times the configuration diameter, rounded up to a
+    power of two so enclosure coordinates behave exactly under halving.
+    """
+    if not scale >= 3:
+        raise ValueError("enclosure scale must be at least 3")
+    xs = [v.x for v in p.vertices]
+    ys = [v.y for v in p.vertices]
+    cx = (min(xs) + max(xs)) / 2.0
+    cy = (min(ys) + max(ys)) / 2.0
+    diam = 0.0
+    for i in range(len(p.vertices)):
+        for j in range(i + 1, len(p.vertices)):
+            dx = xs[i] - xs[j]
+            dy = ys[i] - ys[j]
+            diam = max(diam, math.sqrt(dx * dx + dy * dy))
+    if diam == 0.0:
+        raise ValueError("configuration has no extent to enclose")
+    if not scale * diam <= 2.0 ** 1023:
+        raise ValueError(
+            f"enclosure scale {scale} makes a side larger than a float holds"
+        )
+    # every vertex lies within diam / 2 of (cx, cy) on each axis, and
+    # half >= scale * diam / 2 >= 1.5 * diam, so the square clears them
+    half = 2.0 ** math.ceil(math.log2(scale * diam)) / 2.0
+    base = len(p.vertices)
+    corners = (
+        Point(cx - half, cy - half),
+        Point(cx + half, cy - half),
+        Point(cx + half, cy + half),
+        Point(cx - half, cy + half),
+    )
+    nseg = len(p.segments)
+    sides = tuple(
+        Segment(base + k, base + (k + 1) % 4, nseg + k) for k in range(4)
+    )
+    return Pslg(p.vertices + corners, p.segments + sides, p.holes)
 
 
 def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, base_cfg=None):

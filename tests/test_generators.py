@@ -1,7 +1,11 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import enclose_oracle
+from refinelab import generators
 from refinelab.geom import Point, circumcenter, encroaches, min_angle_deg
 from refinelab.generators import (
     EXAMPLE2,
@@ -16,7 +20,7 @@ from refinelab.generators import (
     pinwheel,
     predicted_skinny_angle_deg,
 )
-from refinelab.pslg import Pslg, min_input_angle_deg, validate
+from refinelab.pslg import Pslg, Segment, min_input_angle_deg, validate
 from refinelab.analysis import residuals
 
 SQRT2 = math.sqrt(2.0)
@@ -255,3 +259,116 @@ def test_largest_enclosure_side_is_finite():
     # two a float holds
     p = pinwheel(4, 2.0 ** 1023 / 4.0)
     assert math.dist(p.vertices[-4], p.vertices[-3]) == 2.0 ** 1023
+
+
+@pytest.mark.parametrize(
+    "vertices, name",
+    [
+        ((Point(0.0, 0.0), Point(1.0, 0.0), Point(NAN, 0.5)), "vertex 2"),
+        ((Point(0.0, NAN), Point(0.0, 0.0), Point(1.0, 0.0)), "vertex 0"),
+        ((Point(0.0, 0.0), Point(INF, 1.0), Point(1.0, 0.0)), "vertex 1"),
+    ],
+    ids=["nan-last", "nan-first", "inf"],
+)
+def test_non_finite_vertex_rejected(vertices, name):
+    with pytest.raises(ValueError, match=f"{name} at .* is not finite"):
+        enclose(Pslg(vertices, ()), 3.0)
+
+
+def _on_circle(n, r=1.0):
+    return [
+        (r * math.cos(2.0 * math.pi * k / n), r * math.sin(2.0 * math.pi * k / n))
+        for k in range(n)
+    ]
+
+
+@st.composite
+def _configurations(draw):
+    """Point sets of the kinds that stress the pruned diameter: clouds,
+    circles, dyadic grids from 2^-600 to 2^600, coordinates whose squares
+    underflow or overflow, collinear sets, with duplicates, segments and
+    holes."""
+    kind = draw(st.sampled_from(
+        ["cloud", "circle", "grid", "underflow", "overflow", "collinear"]
+    ))
+    n = draw(st.integers(1, 30))
+    if kind == "cloud":
+        lim = draw(st.sampled_from([1.0, 1e3, 1e-3]))
+        c = st.floats(-lim, lim)
+        pts = [(draw(c), draw(c)) for _ in range(n)]
+    elif kind == "circle":
+        r = draw(st.floats(1e-6, 1e6))
+        pts = _on_circle(max(n, 3), r)
+    elif kind == "grid":
+        e = draw(st.integers(-600, 600))
+        c = st.integers(-4, 4)
+        pts = [(math.ldexp(draw(c), e), math.ldexp(draw(c), e)) for _ in range(n)]
+    elif kind == "underflow":
+        c = st.floats(-4e-160, 4e-160)
+        pts = [(draw(c), draw(c)) for _ in range(n)]
+    elif kind == "overflow":
+        lim = draw(st.sampled_from([1e154, 1e300, 1.7e308]))
+        c = st.floats(-lim, lim)
+        pts = [(draw(c), draw(c)) for _ in range(n)]
+    else:
+        dx, dy = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -1.0)]))
+        ts = [draw(st.integers(-8, 8)) for _ in range(n)]
+        pts = [(t * dx, t * dy) for t in ts]
+    offset = draw(st.sampled_from([0.0, 0.5, -1e3]))
+    pts = [(x + offset, y) for x, y in pts]
+    pts += [draw(st.sampled_from(pts)) for _ in range(draw(st.integers(0, 3)))]
+    pts = draw(st.permutations(pts))
+    segs = tuple(
+        Segment(draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1)), k)
+        for k in range(draw(st.integers(0, 3)))
+    )
+    holes = tuple(Point(0.25, 0.25) for _ in range(draw(st.integers(0, 1))))
+    return Pslg(tuple(Point(x, y) for x, y in pts), segs, holes)
+
+
+def _enclosed(enclose_fn, p, scale):
+    try:
+        q = enclose_fn(p, scale)
+    except ValueError as e:
+        return str(e)
+    return q.vertices, q.segments, q.holes
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    _configurations(),
+    st.sampled_from([3.0, 4.0]) | st.floats(3.0, 1e6) | st.floats(1e6, 1e300),
+)
+def test_enclose_matches_all_pairs_oracle(p, scale):
+    assert _enclosed(enclose, p, scale) == _enclosed(enclose_oracle, p, scale)
+
+
+class TestEncloseScaling:
+    @staticmethod
+    def _distances(monkeypatch, points):
+        calls = [0]
+        distance = generators._distance
+
+        def counted(*args):
+            calls[0] += 1
+            return distance(*args)
+
+        monkeypatch.setattr(generators, "_distance", counted)
+        enclose(Pslg(tuple(Point(x, y) for x, y in points), ()), 3.0)
+        monkeypatch.undo()
+        return calls[0]
+
+    def test_distances_per_point_do_not_grow_on_clouds(self, monkeypatch):
+        per_point = []
+        for n in (100, 1600):
+            calls = 0
+            for seed in range(5):
+                rng = random.Random(f"enclose:{n}:{seed}")
+                cloud = [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(n)]
+                calls += self._distances(monkeypatch, cloud)
+            per_point.append(calls / (5 * n))
+        assert 0 < per_point[1] <= 2 * per_point[0]
+
+    def test_points_on_a_circle_measure_every_pair(self, monkeypatch):
+        # each reach is at least sqrt(5) radii, above the diameter
+        assert self._distances(monkeypatch, _on_circle(64)) == 64 * 63 // 2
