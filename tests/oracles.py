@@ -5,9 +5,9 @@ determinants, exhaustive scans) and deliberately shares no code with the
 implementation under test, except ``geom.encroaches``, the definition of
 encroachment that the two whole-mesh encroachment scans below apply,
 ``geom.DegenerateTriangleError``, which the reference ``min_angle_deg``
-raises as the real one does, the ``Point``, ``Pslg`` and ``Segment`` types
-that the reference enclosure returns, and the engines and the verdict that the
-reference threshold scan runs probe by probe.
+raises as the real one does, the ``Point``, ``Pslg`` and ``Segment``
+types that the reference enclosure returns, and the engines and the
+verdict that the reference threshold scan runs probe by probe.
 """
 
 from __future__ import annotations

@@ -311,16 +311,18 @@ def _configurations(draw):
         c = st.floats(-lim, lim)
         pts = [(draw(c), draw(c)) for _ in range(n)]
     else:
-        dx, dy = draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -1.0)]))
+        dx, dy = draw(
+            st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (3.0, -1.0)])
+        )
         ts = [draw(st.integers(-8, 8)) for _ in range(n)]
         pts = [(t * dx, t * dy) for t in ts]
     offset = draw(st.sampled_from([0.0, 0.5, -1e3]))
     pts = [(x + offset, y) for x, y in pts]
     pts += [draw(st.sampled_from(pts)) for _ in range(draw(st.integers(0, 3)))]
     pts = draw(st.permutations(pts))
+    index = st.integers(0, len(pts) - 1)
     segs = tuple(
-        Segment(draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1)), k)
-        for k in range(draw(st.integers(0, 3)))
+        Segment(draw(index), draw(index), k) for k in range(draw(st.integers(0, 3)))
     )
     holes = tuple(Point(0.25, 0.25) for _ in range(draw(st.integers(0, 1))))
     return Pslg(tuple(Point(x, y) for x, y in pts), segs, holes)
