@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from .generators import ExampleConfig, build_example
 from .pslg import Pslg
 from .refine import (
     CHEW2,
@@ -50,7 +51,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-TERMINATED_V = "TERMINATED"
+TERMINATED_V = TERMINATED
 DIVERGING = "DIVERGING"
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -168,10 +169,12 @@ def solve_optimum(
     r = list(residuals(*x))
     rn = _norm2(r)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if rn < _SOLVE_TOL:
-            iterations -= 1
-            break
+    while rn >= _SOLVE_TOL:
+        if iterations >= max_iter:
+            raise ConvergenceError(
+                f"no convergence in {max_iter} iterations (residual {rn:.3e})", rn
+            )
+        iterations += 1
         step = _solve4(jacobian(*x), [-v for v in r])
         lam = 1.0
         for _ in range(30):
@@ -190,10 +193,6 @@ def solve_optimum(
             raise ConvergenceError(
                 f"damping failed at residual norm {rn:.3e}", rn
             )
-    if rn >= _SOLVE_TOL:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (residual {rn:.3e})", rn
-        )
     return OptimumSolution(
         theta_deg=math.degrees(x[0]),
         a=x[1],
@@ -310,8 +309,6 @@ class ScanResult:
 def _as_pslg(target) -> Pslg:
     if isinstance(target, Pslg):
         return target
-    from .generators import ExampleConfig, build_example
-
     if isinstance(target, ExampleConfig):
         return build_example(target)
     raise TypeError(f"cannot scan a {type(target).__name__}")
@@ -320,9 +317,10 @@ def _as_pslg(target) -> Pslg:
 def _probe_at(alpha: float, run, verdict: DivergenceVerdict) -> ScanProbe:
     """The probe at ``alpha``, read from ``run``, a run of the same engine
     on the same input at an angle above ``alpha``, whose verdict is
-    ``verdict``.  The run at ``alpha`` is the prefix of ``run`` that ends
-    just before the first circumcenter event at an angle of at least
-    ``alpha``, where it is TERMINATED; with no such event it is ``run``."""
+    ``verdict``: by the prefix lemma (``refinelab.refine``), the run at
+    ``alpha`` is the prefix of ``run`` that ends TERMINATED just before the
+    first circumcenter event at an angle of at least ``alpha``, or ``run``
+    itself when there is no such event."""
     insertions = splits = 0
     for e in run.trace.events:
         if e.kind in _PROCESSED and e.min_angle_deg >= alpha:
@@ -355,16 +353,8 @@ def threshold_scan(
     retried once with a four times larger insertion budget.
 
     The engine runs once, at ``hi`` with the four times larger budget,
-    and every probe is read from that run's trace.  The engines read the
-    angle only where they queue a skinny triangle, so take a < b: every
-    triangle the run at b queues and the run at a does not has a minimum
-    angle of at least a, above every entry both queue.  While the run at
-    a has anything queued, both runs pop the same entries in the same
-    order, and the run at a is a prefix of the run at b: it ends
-    TERMINATED just before the first circumcenter inserted or rejected
-    at an angle of at least a (the run at b went on, so the budget was
-    not spent there), and with no such event it is the run at b, status
-    and verdict included.  The budget is read only at the head of the
+    and every probe is read from that run's trace by the prefix lemma of
+    ``refinelab.refine``.  The budget is read only at the head of the
     engine's loop, and a DIVERGING verdict stops a run at the split that
     gives it, so a run that is conclusive under the base budget ends at
     the same event under the larger one, and one that is not is the

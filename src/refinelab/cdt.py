@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .geom import (
     Point,
+    _exact_area,
     incircle_sign,
     min_angle_deg,
     orient_sign,
@@ -102,13 +101,6 @@ class InsertResult(NamedTuple):
     vertex: int
     created: list
     removed: list
-
-
-def _exact_area(a, b, c) -> Fraction:
-    ax, ay = Fraction(a[0]), Fraction(a[1])
-    bx, by = Fraction(b[0]), Fraction(b[1])
-    cx, cy = Fraction(c[0]), Fraction(c[1])
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -253,8 +245,9 @@ class Triangulation:
         # behind: 24 bytes per id, where a dict of edges to their flanks
         # took about 280 per triangle
         self._nbr = array("q")
-        # min_angle's answers by triangle id, NaN where none is held;
-        # triangle ids are never reused and points never move, so an
+        # min_angle's answers by triangle id, NaN where none is held; like
+        # the neighbour slots, each id's entry is made with its triangle.
+        # Triangle ids are never reused and points never move, so an
         # answer holds until its triangle is removed.  An array of doubles
         # takes 8 bytes per id, a dict of floats about 100 per triangle
         self._angles = array("d")
@@ -274,6 +267,7 @@ class Triangulation:
         self._next_tid += 1
         self.triangles[tid] = (a, b, c)
         self._nbr.extend((-1, -1, -1))
+        self._angles.append(math.nan)
         v2t = self._v2t
         v2t[a] = v2t[b] = v2t[c] = tid
         return tid
@@ -304,8 +298,7 @@ class Triangulation:
             rim = self._rim(region)
         for tid in region:
             del triangles[tid]
-            if tid < len(angles):
-                angles[tid] = math.nan
+            angles[tid] = math.nan
         open_slots = {}  # unmatched directed edge -> its slot
         for (u, v), n in rim.items():
             if n >= 0:
@@ -350,17 +343,11 @@ class Triangulation:
 
     def min_angle(self, tid: int) -> float:
         """``min_angle_deg`` of the triangle's points, computed once."""
-        angles = self._angles
-        if tid < len(angles):
-            ma = angles[tid]
-            if ma == ma:  # not NaN
-                return ma
-        a, b, c = self.triangles[tid]
-        pts = self.points
-        ma = min_angle_deg(pts[a], pts[b], pts[c])
-        if tid >= len(angles):
-            angles.extend(repeat(math.nan, self._next_tid - len(angles)))
-        angles[tid] = ma
+        ma = self._angles[tid]
+        if ma != ma:  # NaN: not computed yet
+            a, b, c = self.triangles[tid]
+            pts = self.points
+            ma = self._angles[tid] = min_angle_deg(pts[a], pts[b], pts[c])
         return ma
 
     def vertex_count(self) -> int:
@@ -817,8 +804,8 @@ class Triangulation:
             # exact crossing parameter along g -> c; with g off line ab and
             # c on it or beyond it, num and den share a sign and
             # |den| >= |num|, so t lies in (0, 1]
-            num = _exact_area(a, b, g)
-            t = num / (num - _exact_area(a, b, c))
+            num = _exact_area(a[0], a[1], b[0], b[1], gx, gy)
+            t = num / (num - _exact_area(a[0], a[1], b[0], b[1], cx, cy))
             if best_t is None or t < best_t:
                 best_t, best_key = t, key
         return best_key
@@ -879,14 +866,11 @@ class Triangulation:
         for key in self.subsegments:
             if key not in owner and key[::-1] not in owner:
                 problems.append(f"constraint edge {key} missing from triangulation")
-        topology = self._topology() if linked else None
-        if linked and topology is None:
-            problems.append("boundary loops cannot be traced")
-        elif linked:
+        if linked:
             n_v = self.vertex_count()
             n_e = len({_edge_key(*e) for e in owner})
             n_t = len(tris)
-            pieces, loops, pinches = topology
+            pieces, loops, pinches = self._topology()
             if n_v - n_e + n_t != 2 * pieces - loops - pinches:
                 problems.append(
                     f"Euler relation violated: V={n_v} E={n_e} T={n_t} "
@@ -904,17 +888,20 @@ class Triangulation:
             problems.extend(self.delaunay_violations())
         return problems
 
-    def _topology(self) -> Optional[tuple[int, int, int]]:
+    def _topology(self) -> tuple[int, int, int]:
         """The mesh's pieces (triangles joined across shared edges), its
-        boundary loops, and its pinches, read from the neighbour slots;
-        None when the turn around a vertex does not end.  A boundary edge
-        u -> v, directed as in its triangle, is followed by the first
-        boundary edge from v turning around v through the triangles from
-        that one, so each loop keeps the mesh on its left.  A vertex where
-        k boundary edges start is a pinch k - 1 times.  For a planar mesh,
-        V - E + T = 2 * pieces - loops - pinches: each piece is a disk
-        with holes, and un-pinching a vertex into its k fans adds k - 1
-        vertices."""
+        boundary loops, and its pinches, read from the neighbour slots,
+        which must match the triangles.  A boundary edge u -> v, directed
+        as in its triangle, is followed by the first boundary edge from v
+        turning around v through the triangles from that one, so each loop
+        keeps the mesh on its left.  The turn ends: it never re-enters its
+        start triangle, whose edge ending at v has no neighbour, and it
+        enters each triangle only across that triangle's one edge ending
+        at v, from the one owner of the reversed edge, so it cannot cycle.
+        A vertex where k boundary edges start is a pinch k - 1 times.  For
+        a planar mesh, V - E + T = 2 * pieces - loops - pinches: each piece
+        is a disk with holes, and un-pinching a vertex into its k fans adds
+        k - 1 vertices."""
         tris, nbr = self.triangles, self._nbr
         piece = {tid: tid for tid in tris}
 
@@ -932,15 +919,13 @@ class Triangulation:
                     continue
                 u, v = verts[i], verts[i - 2]
                 t = tid
-                for _ in range(len(tris)):  # turn around v to a boundary edge
+                while True:  # turn around v to a boundary edge
                     a, b, c = tris[t]
                     k = 0 if v == a else 1 if v == b else 2
                     n = nbr[3 * t + k]  # across the edge that starts at v
                     if n < 0:
                         break
                     t = n
-                else:
-                    return None
                 follow[u, v] = (v, tris[t][k - 2])
         loops = 0
         seen = set()

@@ -25,7 +25,8 @@ from pathlib import Path
 
 from . import analysis, generators
 from .cdt import InvalidPslgError, Triangulation, TriangulationError
-from .pslg import Pslg, PolyParseError, min_input_angle_deg, parse_poly, write_poly
+from .pslg import (Pslg, PolyParseError, _fmt, min_input_angle_deg, parse_poly,
+                   write_poly)
 from .refine import (
     CHEW2,
     RUPPERT,
@@ -56,10 +57,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 def write_node(tri: Triangulation, out=None) -> str | None:

@@ -161,6 +161,10 @@ def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
     # every vertex lies within diam / 2 of (cx, cy) on each axis, and
     # half >= scale * diam / 2 >= 1.5 * diam, so the square clears them
     half = 2.0 ** math.ceil(math.log2(scale * diam)) / 2.0
+    if not all(map(math.isfinite, (cx - half, cx + half, cy - half, cy + half))):
+        raise ValueError(
+            f"enclosure corners overflow: centre ({cx}, {cy}), half side {half}"
+        )
     base = len(p.vertices)
     corners = (
         Point(cx - half, cy - half),

@@ -87,10 +87,15 @@ def orient_sign(ax: float, ay: float, bx: float, by: float,
     return _orient_exact(ax, ay, bx, by, cx, cy)
 
 
+def _exact_area(ax, ay, bx, by, cx, cy) -> Fraction:
+    """The doubled signed area of triangle abc, exactly."""
+    ax, ay = Fraction(ax), Fraction(ay)
+    return (Fraction(bx) - ax) * (Fraction(cy) - ay) - (
+        Fraction(by) - ay) * (Fraction(cx) - ax)
+
+
 def _orient_exact(ax, ay, bx, by, cx, cy) -> int:
-    det = (Fraction(ax) - Fraction(cx)) * (Fraction(by) - Fraction(cy)) - (
-        Fraction(ay) - Fraction(cy)
-    ) * (Fraction(bx) - Fraction(cx))
+    det = _exact_area(ax, ay, bx, by, cx, cy)
     return (det > 0) - (det < 0)
 
 

@@ -82,11 +82,11 @@ def _segments_conflict(a1: Point, b1: Point, a2: Point, b2: Point,
             return True
         if o2 == 0 and _on_closed_segment(a1, b1, b2):
             return True
-        if o3 == 0 and _on_closed_segment(a2, b2, a1):
-            return True
-        if o4 == 0 and _on_closed_segment(a2, b2, b1):
-            return True
-        return False
+        # b1 on a2b2 needs no test of its own.  Off the line a2b2, a1 gives
+        # o3 != 0 = o4, so the first test finds b1 strictly inside a2b2 and
+        # the o1 or o2 test finds it at a2 or b2.  On the line, with neither
+        # a2 nor b2 in a1b1, a1b1 lies inside a2b2, which the o3 test finds
+        return o3 == 0 and _on_closed_segment(a2, b2, a1)
     # exactly one shared endpoint: the only legal contact is that point,
     # which collinear overlap would exceed
     if o1 == 0 and o2 == 0:

@@ -31,11 +31,16 @@ subsegment once: a circumcenter before it is inserted, a split midpoint
 and its two halves right after the split.  Runs are deterministic:
 identical inputs give bit-identical traces.
 
-The angle ``alpha_deg`` is read in one place only: a triangle is queued
-when its minimum angle is below it.  So a run at a smaller angle is a
-prefix of the run at a larger one, ending TERMINATED just before the
-first circumcenter event at or above the smaller angle; the threshold
-scan reads all its probes from one run on this invariant.
+The prefix lemma.  The angle ``alpha_deg`` is read in one place only: a
+triangle is queued when its minimum angle is below it.  Take a < b:
+every triangle the run at b queues and the run at a does not has a
+minimum angle of at least a, above every entry both queue.  While the
+run at a has anything queued, both runs pop the same entries in the same
+order.  So the run at a is a prefix of the run at b: it ends TERMINATED
+just before the first circumcenter inserted or rejected at an angle of
+at least a (the run at b went on, so the budget was not spent there),
+and with no such event it is the run at b, status included.  The
+threshold scan reads all its probes from one run on this lemma.
 """
 
 from __future__ import annotations
@@ -294,7 +299,7 @@ class _Run:
                 self._seg_queue.setdefault(other)
             for child in children:
                 self._scan_new_subseg(child)
-        return rec.length / 2.0
+        return self.tri.subsegments[children[0]].length
 
     def _finish(self, status: str) -> RefinementOutcome:
         return RefinementOutcome(

@@ -138,6 +138,22 @@ class TestSolver:
         assert opt.theta_deg == pytest.approx(ref.theta_deg, abs=1e-6)
         assert opt.a == pytest.approx(ref.a, abs=1e-8)
 
+    def test_step_that_raises_the_residual_is_halved(self, monkeypatch):
+        ref = solve_optimum()
+        norms = []  # of every point tried, except where residuals raised
+
+        def recorded(*x):
+            r = residuals(*x)
+            norms.append(analysis._norm2(r))
+            return r
+
+        monkeypatch.setattr(analysis, "residuals", recorded)
+        opt = solve_optimum((70.0, 2.5, 20.0, 20.0))
+        # each accepted point has a lower norm than the one before it, and
+        # the first rejected trial of a step does not
+        assert any(b >= a for a, b in zip(norms, norms[1:]))
+        assert opt.theta_deg == pytest.approx(ref.theta_deg, abs=1e-9)
+
     def test_hopeless_guess_raises(self):
         with pytest.raises((ConvergenceError, ValueError)):
             solve_optimum((89.0, 5.0, 1.0, 55.0), max_iter=5)
@@ -258,6 +274,14 @@ class TestThresholdScan:
     def test_invalid_bracket_rejected(self):
         with pytest.raises(ScanError):
             threshold_scan(ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 35.0, 25.0)
+
+    def test_unscannable_target_rejected(self):
+        with pytest.raises(TypeError, match="cannot scan a str"):
+            threshold_scan("pinwheel4", "RUPPERT", 25.0, 35.0)
+
+    def test_unknown_algorithm_rejected(self):
+        with pytest.raises(ScanError, match="unknown algorithm 'DELAUNAY'"):
+            threshold_scan(pinwheel(4), "DELAUNAY", 25.0, 35.0)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, 1e-300])
     def test_bad_tol_rejected_before_any_probe(self, monkeypatch, tol):

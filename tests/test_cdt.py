@@ -12,6 +12,7 @@ from refinelab.cdt import (
     InvalidPslgError,
     MissingSubsegmentError,
     OutsideDomainError,
+    Subseg,
     Triangulation,
     TriangulationError,
 )
@@ -134,6 +135,16 @@ class TestBuild:
             gx = (t.points[a].x + t.points[b].x + t.points[c].x) / 3
             gy = (t.points[a].y + t.points[b].y + t.points[c].y) / 3
             assert not (2 < gx < 4 and 2 < gy < 4)
+        assert t.check() == []
+
+    @pytest.mark.parametrize("hole", [Point(1, 0), Point(0.5, 0), Point(2, 2)],
+                             ids=["at-vertex", "on-segment", "outside"])
+    def test_hole_off_the_open_domain_is_ignored(self, hole):
+        p = square_pslg()
+        plain = Triangulation.build(p)
+        t = Triangulation.build(Pslg(p.vertices, p.segments, (hole,)))
+        assert (t.points, t.triangles, t.subsegments) == (
+            plain.points, plain.triangles, plain.subsegments)
         assert t.check() == []
 
 
@@ -556,6 +567,10 @@ class TestLocate:
             for start in starts:
                 assert t.locate(q.x, q.y, start)[0] == "outside", (q, start)
 
+    def test_empty_triangulation_raises(self):
+        with pytest.raises(TriangulationError, match="empty triangulation"):
+            Triangulation().locate(0.0, 0.0)
+
 
 class TestOperationSequences:
     # each step is an operation and two fractions: the point inserted
@@ -624,6 +639,12 @@ class TestBoxIndex:
         (i, j), keys = next(iter(cells.items()))
         cells.setdefault((i + 7, j), []).append(keys.pop())
         assert t.check() == ["subsegment box cells differ from a rebuilt index"]
+
+    def test_shifted_box_is_reported(self):
+        t = self.operated()
+        key, box = next(iter(t._index.boxes.items()))
+        t._index.boxes[key] = (box[0] + box[2],) + box[1:]
+        assert t.check() == ["subsegment boxes differ from a rebuilt index"]
 
 
 def convex_diagonals(t):
@@ -707,6 +728,31 @@ class TestCheck:
         t._nbr[3 * first + i] = other
         assert t.check() == [
             f"neighbour {i} of triangle {first} is {other}, not {want}"
+        ]
+
+    def test_repeated_directed_edge_is_reported(self):
+        t = Triangulation.build(walk_pslg())
+        first = next(iter(t.triangles))
+        a, b, c = t.triangles[first]
+        copy = t._add_tri(a, b, c)
+        problems = t.check()
+        for e in ((a, b), (b, c), (c, a)):
+            assert (f"edge {e} runs the same way in triangles {first} and "
+                    f"{copy}") in problems
+
+    def test_subsegment_with_no_edge_is_reported(self):
+        t = Triangulation.build(walk_pslg())
+        edges = flanks(t)
+        key = next((u, w) for u in range(7) for w in range(u + 1, 7)
+                   if (u, w) not in edges)
+        t.subsegments[key] = Subseg(0, 1.0)
+        assert f"constraint edge {key} missing from triangulation" in t.check()
+
+    def test_vertex_with_no_triangle_breaks_the_euler_relation(self):
+        t = Triangulation.build(square_pslg())
+        t._add_vertex(5.0, 5.0, CIRCUMCENTER)
+        assert t.check() == [
+            "Euler relation violated: V=5 E=5 T=2 pieces=1 loops=1 pinches=0"
         ]
 
     def test_triangle_ids_out_of_order_are_reported(self):

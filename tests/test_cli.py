@@ -141,6 +141,14 @@ class TestRefine:
         assert code == 3
         assert capsys.readouterr().err.startswith("run failed: ")
 
+    def test_no_segments_is_engine_error(self, tmp_path, capsys):
+        poly = tmp_path / "bare.poly"
+        poly.write_text(write_poly(Pslg((Point(0, 0), Point(1, 0), Point(0, 1)),
+                                        ())))
+        code = main(["refine", str(poly), "--alg", "ruppert", "--alpha", "20"])
+        assert code == 3
+        assert "at least one constraint segment" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -207,6 +215,13 @@ class TestScan:
         assert doc["threshold_deg"] == pytest.approx(30.74, abs=0.5)
         assert doc["target"] == "pinwheel4"
         assert len(doc["probes"]) >= 5
+
+    def test_perturbed_family_scan(self, capsys):
+        # pav is built at --delta, 1e-3 by default
+        code = main(["scan", "pav", "--alg", "ruppert", "--lo", "28", "--hi",
+                     "31", "--tol", "0.5"])
+        assert code == 0
+        assert "empirical threshold 30.0" in capsys.readouterr().out
 
     def test_bad_bracket_is_engine_error(self, tmp_path, capsys):
         code = main(

@@ -154,6 +154,8 @@ class TestExample2:
             example2(75.0, -1.0, 0.0)
         with pytest.raises(ValueError, match="encroachment chain"):
             example2(70.0, 1.3, 0.0)   # wide wedge can no longer reach
+        with pytest.raises(ValueError, match="narrow-wedge"):
+            example2(75.0, 0.3)        # nor can the narrow wedge
 
     def test_optimized_upper_segment_length(self):
         p = example2_optimized(0.0)
@@ -374,3 +376,10 @@ class TestEncloseScaling:
     def test_points_on_a_circle_measure_every_pair(self, monkeypatch):
         # each reach is at least sqrt(5) radii, above the diameter
         assert self._distances(monkeypatch, _on_circle(64)) == 64 * 63 // 2
+
+
+def test_overflowing_corners_rejected():
+    # the centre (lox + hix) / 2 overflows although the diameter is 1
+    p = Pslg((Point(1.7e308, 0.0), Point(1.7e308, 1.0)), ())
+    with pytest.raises(ValueError, match="corners overflow"):
+        enclose(p, 3.0)

@@ -14,7 +14,7 @@ import oracles
 import refinelab
 from refinelab import cdt, refine
 from refinelab.cdt import CIRCUMCENTER, SEGMENT_MIDPOINT, Triangulation
-from refinelab.geom import Point, encroaches
+from refinelab.geom import Point, encroaches, min_angle_deg
 from refinelab.pslg import Pslg, Segment
 from refinelab.generators import (
     enclose,
@@ -70,6 +70,12 @@ class TestBasics:
         out = chew2(square_pslg(), RefinementConfig(alpha_deg=25))
         assert out.status == TERMINATED
         assert audit(out) == []
+
+    @pytest.mark.parametrize("engine", [ruppert, chew2])
+    def test_no_segments_is_engine_error(self, engine):
+        p = Pslg((Point(0, 0), Point(1, 0), Point(0, 1)), ())
+        with pytest.raises(refine.EngineError, match="at least one constraint"):
+            engine(p, RefinementConfig(alpha_deg=20))
 
     def test_budget_exhaustion(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=5))
@@ -402,6 +408,28 @@ class TestTraceAndAudit:
         problems = audit(out)
         assert len(problems) == 1
         assert "halving" in problems[0]
+
+    def test_audit_flags_skinny_triangle(self):
+        # a TERMINATED outcome over the unrefined mesh, which has triangles
+        # below 31 degrees; chew2's audit tests no encroachment
+        tri = Triangulation.build(pinwheel(4))
+        cfg = RefinementConfig(alpha_deg=31)
+        out = refine.RefinementOutcome(TERMINATED, tri, RefinementTrace(()), 0,
+                                       cfg, refine.CHEW2)
+        expected = [
+            f"terminated with skinny triangle {tid} (min angle {ma:.4f})"
+            for tid in tri.triangles
+            for ma in [min_angle_deg(*tri.triangle_points(tid))] if ma < 31
+        ]
+        assert expected
+        assert audit(out) == expected
+
+    def test_audit_flags_unknown_lineage(self):
+        out = ruppert(square_pslg(), RefinementConfig(alpha_deg=20))
+        seq = len(out.trace.events)
+        stray = TraceEvent(seq, SEGMENT_SPLIT, 99, 1.0, None, 0.0, 0.0)
+        out.trace = RefinementTrace(out.trace.events + (stray,))
+        assert audit(out) == [f"split event {seq} has unknown lineage 99"]
 
     def test_audit_flags_encroaching_vertex(self):
         out = ruppert(square_pslg(), RefinementConfig(alpha_deg=20))
