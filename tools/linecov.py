@@ -14,8 +14,8 @@ code objects list in ``co_lines()``.
         each executable line that no recorded run executed, as
         path:line: source, and the totals
 
-Lines that run only in child processes are not seen.  The tracer slows
-the suite down about three and a half times.
+Lines that run only in child processes are not seen.  The tracer makes
+the suite three to four times slower.
 """
 
 from __future__ import annotations
