@@ -7,9 +7,9 @@ code objects list in ``co_lines()``.
 
     PYTHONPATH=src:tools python -m pytest -p linecov [pytest arguments]
         the test suite under the tracer, as a pytest plugin
-    PYTHONPATH=src python tools/linecov.py --workloads [--seed N]
-        one round of each perfbench workload under the same tracer; it
-        only reads perfbench/
+    PYTHONPATH=src python tools/linecov.py --workloads
+        one round of each perfbench workload at seed 1 under the same
+        tracer; it only reads perfbench/
     python tools/linecov.py report
         each executable line that no recorded run executed, as
         path:line: source, and the totals
@@ -106,7 +106,7 @@ def report() -> int:
     return 0
 
 
-def workloads(seed: int) -> int:
+def workloads() -> int:
     """One round of each perfbench workload, set-up included, traced."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     rec = Recorder()
@@ -118,7 +118,7 @@ def workloads(seed: int) -> int:
             for name in ("scan", "cascade", "mesh"):
                 work = os.path.join(out, name)
                 os.mkdir(work)
-                ops, warmup = bench.build(name, seed, work)
+                ops, warmup = bench.build(name, 1, work)
                 warmup.run()
                 for op in ops:
                     op.check(op.run())
@@ -131,10 +131,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("mode", nargs="?", choices=("report",))
     ap.add_argument("--workloads", action="store_true")
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.workloads:
-        return workloads(args.seed)
+        return workloads()
     if args.mode == "report":
         return report()
     ap.error("give report or --workloads")
