@@ -13,7 +13,8 @@ designed angle is as small as possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Optional
 
 from .generators import ExampleConfig, build_example
@@ -44,14 +45,12 @@ __all__ = [
     "solve_optimum",
     "classify",
     "threshold_scan",
-    "TERMINATED_V",
     "DIVERGING",
     "INCONCLUSIVE",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 
-TERMINATED_V = TERMINATED
 DIVERGING = "DIVERGING"
 INCONCLUSIVE = "INCONCLUSIVE"
 
@@ -283,7 +282,7 @@ def cascade_splits(outcome: RefinementOutcome):
 def classify(outcome: RefinementOutcome) -> DivergenceVerdict:
     """Judge a refinement trace: terminated, geometric cascade, or neither."""
     if outcome.status == TERMINATED:
-        return DivergenceVerdict(status=TERMINATED_V)
+        return DivergenceVerdict(status=TERMINATED)
     return _fed(outcome).verdict
 
 
@@ -299,6 +298,7 @@ class ScanProbe:
 @dataclass(frozen=True)
 class ScanResult:
     threshold_deg: float
+    exact_deg: float
     lo: float
     hi: float
     tol: float
@@ -314,51 +314,55 @@ def _as_pslg(target) -> Pslg:
     raise TypeError(f"cannot scan a {type(target).__name__}")
 
 
-def _probe_at(alpha: float, run, verdict: DivergenceVerdict) -> ScanProbe:
-    """The probe at ``alpha``, read from ``run``, a run of the same engine
-    on the same input at an angle above ``alpha``, whose verdict is
-    ``verdict``: by the prefix lemma (``refinelab.refine``), the run at
-    ``alpha`` is the prefix of ``run`` that ends TERMINATED just before the
-    first circumcenter event at an angle of at least ``alpha``, or ``run``
-    itself when there is no such event."""
+def _prefix_probes(run):
+    """The probes below ``run``'s angle, from one pass over its trace by
+    the prefix lemma (``refinelab.refine``): a probe at ``alpha`` ends
+    TERMINATED just before the first circumcenter event at an angle of at
+    least ``alpha``, or is ``run`` itself when there is none.  That angle
+    tops every earlier one, so the pass keeps only such angles, with the
+    insertions and splits before each.  Returns the probe function and the
+    kept angles; the last is M, the largest circumcenter angle in ``run``."""
+    angles, before = [], []
     insertions = splits = 0
     for e in run.trace.events:
-        if e.kind in _PROCESSED and e.min_angle_deg >= alpha:
-            return ScanProbe(alpha, TERMINATED,
-                             DivergenceVerdict(status=TERMINATED_V),
-                             insertions, splits)
+        if e.kind in _PROCESSED and (not angles or e.min_angle_deg > angles[-1]):
+            angles.append(e.min_angle_deg)
+            before.append((insertions, splits))
         if e.kind == SEGMENT_SPLIT:
             splits += 1
             insertions += 1
         elif e.kind == CIRCUMCENTER_INSERT:
             insertions += 1
-    return ScanProbe(alpha, run.status, verdict, insertions, splits)
+    verdict = classify(run)
+
+    def probe_at(alpha: float) -> ScanProbe:
+        i = bisect_left(angles, alpha)
+        if i < len(angles):
+            return ScanProbe(alpha, TERMINATED,
+                             DivergenceVerdict(status=TERMINATED), *before[i])
+        return ScanProbe(alpha, run.status, verdict, insertions, splits)
+
+    return probe_at, angles
 
 
-def threshold_scan(
-    target,
-    algorithm: str,
-    lo: float,
-    hi: float,
-    tol: float = 0.1,
-    base_cfg: Optional[RefinementConfig] = None,
-) -> ScanResult:
-    """Bisect the empirical termination threshold between lo and hi.
+def threshold_scan(target, algorithm: str, lo: float, hi: float,
+                   tol: float = 0.1, budget: int = 10000) -> ScanResult:
+    """Bisect the empirical termination threshold between lo and hi, and
+    report it exactly.
 
     ``target`` is a Pslg or an ExampleConfig.  Refinement at ``lo`` must
     terminate and at ``hi`` must diverge, otherwise the bracket is
     rejected.  ``tol`` must be at least the float spacing at ``hi``, or
-    a midpoint could round back onto an end of the bracket forever.  Each
-    probe stops at its first DIVERGING verdict.  An inconclusive probe is
-    retried once with a four times larger insertion budget.
+    a midpoint could round back onto an end of the bracket forever.
 
-    The engine runs once, at ``hi`` with the four times larger budget,
-    and every probe is read from that run's trace by the prefix lemma of
-    ``refinelab.refine``.  The budget is read only at the head of the
-    engine's loop, and a DIVERGING verdict stops a run at the split that
-    gives it, so a run that is conclusive under the base budget ends at
-    the same event under the larger one, and one that is not is the
-    widened run.  Each probe therefore equals the probe's own run.
+    The engine runs once, at ``hi`` with ``4 * budget`` insertions, stopped
+    at its first DIVERGING verdict, and every probe is read from that run
+    (``_prefix_probes``).  When it diverges, a run at alpha terminates
+    exactly when alpha <= M, the largest angle of a circumcenter event in
+    it: M is ``exact_deg``, and the bisection ends with lo <= M < hi.  The
+    budget is read only at the head of the engine's loop, and a diverging
+    run stops at the split that gives its verdict, so a probe conclusive
+    under ``budget`` ends at the same event under four times that.
     """
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
@@ -368,14 +372,13 @@ def threshold_scan(
         raise ScanError(f"unknown algorithm {algorithm!r}")
     pslg = _as_pslg(target)
     engine = ruppert if algorithm == RUPPERT else chew2
-    base = base_cfg or RefinementConfig(alpha_deg=lo)
-    cfg = replace(base, alpha_deg=hi, max_insertions=4 * base.max_insertions)
+    cfg = RefinementConfig(alpha_deg=hi, max_insertions=4 * budget)
     run = engine(pslg, cfg, stop=CascadeChecker().feed)
-    verdict = classify(run)
+    probe_at, angles = _prefix_probes(run)
     probes: list[ScanProbe] = []
 
     def probe(alpha: float) -> ScanProbe:
-        p = _probe_at(alpha, run, verdict)
+        p = probe_at(alpha)
         if p.verdict.status == INCONCLUSIVE:
             raise ScanError(
                 f"probe at alpha={alpha:.4f} stayed inconclusive after "
@@ -384,22 +387,20 @@ def threshold_scan(
         probes.append(p)
         return p
 
-    p_lo = probe(lo)
-    if p_lo.verdict.status != TERMINATED_V:
+    if probe(lo).verdict.status != TERMINATED:
         raise ScanError(f"refinement at lo={lo} does not terminate")
-    p_hi = probe(hi)
-    if p_hi.verdict.status != DIVERGING:
+    if probe(hi).verdict.status != DIVERGING:
         raise ScanError(f"refinement at hi={hi} does not diverge")
 
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        p = probe(mid)
-        if p.verdict.status == DIVERGING:
+        if probe(mid).verdict.status == DIVERGING:
             hi = mid
         else:
             lo = mid
     return ScanResult(
         threshold_deg=(lo + hi) / 2.0,
+        exact_deg=angles[-1],
         lo=lo,
         hi=hi,
         tol=tol,

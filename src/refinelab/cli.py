@@ -245,9 +245,8 @@ def _cmd_refine(args) -> int:
 def _cmd_scan(args) -> int:
     target = _scan_target(args.target, args.delta)
     alg = RUPPERT if args.alg == "ruppert" else CHEW2
-    base = RefinementConfig(alpha_deg=args.lo, max_insertions=args.budget)
     result = analysis.threshold_scan(
-        target, alg, args.lo, args.hi, args.tol, base_cfg=base
+        target, alg, args.lo, args.hi, args.tol, budget=args.budget
     )
     doc = asdict(result)
     doc["target"] = args.target
@@ -255,8 +254,8 @@ def _cmd_scan(args) -> int:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     print(
         f"{args.target} / {args.alg}: empirical threshold "
-        f"{result.threshold_deg:.3f} deg (bracket [{result.lo:.3f}, "
-        f"{result.hi:.3f}], {len(result.probes)} probes)"
+        f"{result.threshold_deg:.3f} deg, exact {result.exact_deg!r} deg "
+        f"(bracket [{result.lo:.3f}, {result.hi:.3f}], {len(result.probes)} probes)"
     )
     return 0
 

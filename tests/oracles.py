@@ -19,7 +19,6 @@ from fractions import Fraction
 from refinelab.analysis import (
     DIVERGING,
     INCONCLUSIVE,
-    TERMINATED_V,
     CascadeChecker,
     ScanError,
     ScanProbe,
@@ -29,7 +28,14 @@ from refinelab.analysis import (
 )
 from refinelab.geom import DegenerateTriangleError, Point, encroaches
 from refinelab.pslg import Pslg, Segment
-from refinelab.refine import CHEW2, RUPPERT, RefinementConfig, chew2, ruppert
+from refinelab.refine import (
+    CHEW2,
+    RUPPERT,
+    TERMINATED,
+    RefinementConfig,
+    chew2,
+    ruppert,
+)
 
 
 def orient_oracle(a, b, c) -> int:
@@ -395,11 +401,12 @@ def enclose_oracle(p: Pslg, scale: float = 4.0) -> Pslg:
     return Pslg(p.vertices + corners, p.segments + sides, p.holes)
 
 
-def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, base_cfg=None):
+def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, budget=10000):
     """``analysis.threshold_scan`` by its definition: every probe is its
-    own engine run, stopped at its first DIVERGING verdict, and an
-    inconclusive probe is run once more with a four times larger
-    budget."""
+    own engine run with ``budget`` insertions, stopped at its first
+    DIVERGING verdict, and an inconclusive probe is run once more with a
+    four times larger budget.  ``exact_deg`` is the largest angle of any
+    event in the run at ``hi``."""
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
     if not tol >= math.ulp(hi):
@@ -408,11 +415,10 @@ def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, base_cfg=None):
         raise ScanError(f"unknown algorithm {algorithm!r}")
     pslg = _as_pslg(target)
     engine = ruppert if algorithm == RUPPERT else chew2
-    base = base_cfg or RefinementConfig(alpha_deg=lo)
     probes = []
 
     def probe(alpha):
-        cfg = replace(base, alpha_deg=alpha)
+        cfg = RefinementConfig(alpha_deg=alpha, max_insertions=budget)
         outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
         verdict = classify(outcome)
         if verdict.status == INCONCLUSIVE:
@@ -432,20 +438,23 @@ def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, base_cfg=None):
             splits=len(outcome.trace.splits()),
         )
         probes.append(p)
-        return p
+        return verdict.status, outcome
 
-    if probe(lo).verdict.status != TERMINATED_V:
+    if probe(lo)[0] != TERMINATED:
         raise ScanError(f"refinement at lo={lo} does not terminate")
-    if probe(hi).verdict.status != DIVERGING:
+    status, run_hi = probe(hi)
+    if status != DIVERGING:
         raise ScanError(f"refinement at hi={hi} does not diverge")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        if probe(mid).verdict.status == DIVERGING:
+        if probe(mid)[0] == DIVERGING:
             hi = mid
         else:
             lo = mid
     return ScanResult(
         threshold_deg=(lo + hi) / 2.0,
+        exact_deg=max(e.min_angle_deg for e in run_hi.trace.events
+                      if e.min_angle_deg is not None),
         lo=lo,
         hi=hi,
         tol=tol,

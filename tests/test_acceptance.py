@@ -9,6 +9,7 @@ import random
 
 from refinelab.analysis import (
     DIVERGING,
+    CascadeChecker,
     cascade_splits,
     classify,
     solve_optimum,
@@ -21,6 +22,7 @@ from refinelab.generators import (
     PAV,
     PINWHEEL,
     ExampleConfig,
+    build_example,
     example2_optimized,
     pav,
     pinwheel,
@@ -178,6 +180,33 @@ def test_criterion_6_thresholds_are_bit_identical():
     got = [threshold_scan(cfg, alg, lo, hi, tol).threshold_deg
            for cfg, alg, lo, hi, tol, _ in plan]
     assert got == [want for *_, want in plan]
+
+
+def test_criterion_6_exact_thresholds_are_bit_identical():
+    # M, the largest angle of a circumcenter event in the run at hi: a run
+    # at M terminates, and a run one float above M diverges
+    plan = [
+        (ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0, 0.1,
+         30.735867102360004),
+        (ExampleConfig(family=PINWHEEL, n=4), "CHEW2", 25.0, 35.0, 0.1,
+         30.735867102360004),
+        (ExampleConfig(family=PAV, delta=1e-3), "RUPPERT", 25.0, 32.0, 0.1,
+         30.02096889953196),
+        (ExampleConfig(family=EXAMPLE2_OPT, delta=1e-3), "RUPPERT", 25.0, 32.0,
+         0.1, 29.533853414338036),
+        (ExampleConfig(family=PINWHEEL, n=5), "RUPPERT", 30.0, 36.0, 0.2,
+         33.588398896272096),
+    ]
+    for cfg, alg, lo, hi, tol, want in plan:
+        exact = threshold_scan(cfg, alg, lo, hi, tol).exact_deg
+        assert exact == want
+        engine = ruppert if alg == "RUPPERT" else chew2
+        verdicts = [
+            classify(engine(build_example(cfg), RefinementConfig(alpha_deg=alpha),
+                            stop=CascadeChecker().feed)).status
+            for alpha in (exact, math.nextafter(exact, 60.0))
+        ]
+        assert verdicts == [TERMINATED, DIVERGING]
 
 
 def test_criterion_7_asymmetry():

@@ -9,7 +9,6 @@ from refinelab import analysis
 from refinelab.analysis import (
     DIVERGING,
     INCONCLUSIVE,
-    TERMINATED_V,
     CascadeChecker,
     ConvergenceError,
     DivergenceVerdict,
@@ -179,7 +178,7 @@ class TestClassify:
 
     def test_terminated_passthrough(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=20))
-        assert classify(out).status == TERMINATED_V
+        assert classify(out).status == TERMINATED
 
     def test_budget_without_cascade_is_inconclusive(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=6))
@@ -258,7 +257,7 @@ class TestThresholdScan:
         # post-hoc bracket verification
         lo_run = ruppert(pinwheel(4), RefinementConfig(alpha_deg=res.threshold_deg - 0.1))
         hi_run = ruppert(pinwheel(4), RefinementConfig(alpha_deg=res.threshold_deg + 0.1))
-        assert classify(lo_run).status == TERMINATED_V
+        assert classify(lo_run).status == TERMINATED
         assert classify(hi_run).status == DIVERGING
 
     def test_chew2_scan_matches_ruppert_on_pinwheel4(self):
@@ -304,7 +303,7 @@ class TestThresholdScan:
 
         def verdict(outcome):
             return DivergenceVerdict(
-                DIVERGING if outcome.alpha > 30.1 else TERMINATED_V
+                DIVERGING if outcome.alpha > 30.1 else TERMINATED
             )
 
         monkeypatch.setattr(analysis, "ruppert", engine)
@@ -329,8 +328,7 @@ class TestThresholdScan:
         with pytest.raises(ScanError, match="inconclusive after widening"):
             threshold_scan(
                 ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0,
-                tol=0.1,
-                base_cfg=RefinementConfig(alpha_deg=25.0, max_insertions=12),
+                tol=0.1, budget=12,
             )
 
     def test_probe_records(self):
@@ -341,7 +339,7 @@ class TestThresholdScan:
         assert res.probes[0].alpha_deg == 28.0
         assert res.probes[1].alpha_deg == 31.0
         assert all(
-            p.verdict.status in (TERMINATED_V, DIVERGING) for p in res.probes
+            p.verdict.status in (TERMINATED, DIVERGING) for p in res.probes
         )
 
 
@@ -357,11 +355,6 @@ ACCEPTANCE_IDS = ["pinwheel4-ruppert", "pinwheel4-chew2", "pav-ruppert",
                   "spiral-opt-ruppert", "pinwheel5-ruppert"]
 
 
-def _budget(n):
-    """A base config with a budget of n insertions; the scan sets its angle."""
-    return RefinementConfig(alpha_deg=1.0, max_insertions=n)
-
-
 class TestProbesReadFromOneRun:
     """``threshold_scan`` runs the engine at ``hi`` only and reads every
     probe from that run; ``oracles.threshold_scan_oracle`` runs every
@@ -372,7 +365,7 @@ class TestProbesReadFromOneRun:
         (ExampleConfig(family=PINWHEEL, n=5), "CHEW2", 28.0, 38.0, 0.05),
         # the run at hi diverges only with the widened budget (190 insertions)
         (ExampleConfig(family=EXAMPLE2, delta=1e-3), "RUPPERT", 25.0, 32.0, 0.1,
-         _budget(48)),
+         48),
         # about 50 probes, down to adjacent floats
         (ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0,
          math.ulp(35.0)),
@@ -387,10 +380,10 @@ class TestProbesReadFromOneRun:
          "does not diverge"),
         # lo terminates only with the widened budget, hi never diverges
         ((ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0, 0.1,
-          _budget(12)), "inconclusive after widening"),
+          12), "inconclusive after widening"),
         # chew2 never diverges on pinwheel(3): hi stays inconclusive
         ((ExampleConfig(family=PINWHEEL, n=3), "CHEW2", 20.0, 40.0, 0.05,
-          _budget(1000)), "inconclusive after widening"),
+          1000), "inconclusive after widening"),
     ], ids=["lo-terminates-not", "hi-diverges-not", "budget-12", "pinwheel3-chew2"])
     def test_error_equals_oracle(self, args, message):
         with pytest.raises(ScanError, match=message) as got:
@@ -410,6 +403,7 @@ class TestProbesReadFromOneRun:
         worst = max(e.min_angle_deg for e in run.trace.events
                     if e.min_angle_deg is not None)
         res = threshold_scan(*args)
+        assert res.exact_deg == worst
         assert res.lo <= worst < res.hi
 
 
@@ -467,9 +461,10 @@ class TestRunBelowIsAPrefix:
             real, run_above = run(below), run(above)
             events = real.trace.events
             assert run_above.trace.events[:len(events)] == events
-            assert analysis._probe_at(below, run_above, classify(run_above)) == (
-                ScanProbe(below, real.status, classify(real), real.insertions,
-                          len(real.trace.splits())))
+            probe_at, _ = analysis._prefix_probes(run_above)
+            assert probe_at(below) == ScanProbe(
+                below, real.status, classify(real), real.insertions,
+                len(real.trace.splits()))
             endings.add(real.status)
 
         prop()

@@ -10,7 +10,7 @@ from refinelab import analysis, cli
 from refinelab.cli import main, mesh_to_svg, write_ele, write_node
 from refinelab.cdt import Triangulation
 from refinelab.geom import Point
-from refinelab.generators import pav, pinwheel
+from refinelab.generators import PINWHEEL, ExampleConfig, pav, pinwheel
 from refinelab.pslg import Pslg, Segment, parse_poly, write_poly
 from refinelab.refine import RefinementConfig, RefinementTrace, ruppert
 from test_cdt import islanded_pslg
@@ -215,6 +215,12 @@ class TestScan:
         assert doc["threshold_deg"] == pytest.approx(30.74, abs=0.5)
         assert doc["target"] == "pinwheel4"
         assert len(doc["probes"]) >= 5
+        exact = analysis.threshold_scan(
+            ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0, 0.5
+        ).exact_deg
+        assert doc["exact_deg"] == exact
+        assert doc["lo"] <= doc["exact_deg"] < doc["hi"]
+        assert f"exact {exact!r} deg" in capsys.readouterr().out
 
     def test_perturbed_family_scan(self, capsys):
         # pav is built at --delta, 1e-3 by default
@@ -223,9 +229,11 @@ class TestScan:
         assert code == 0
         assert "empirical threshold 30.0" in capsys.readouterr().out
 
-    def test_bad_bracket_is_engine_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("lo, hi", [("20", "25"), ("0", "35")],
+                             ids=["hi-diverges-not", "lo-0"])
+    def test_bad_bracket_is_engine_error(self, capsys, lo, hi):
         code = main(
-            ["scan", "pinwheel4", "--alg", "ruppert", "--lo", "20", "--hi", "25"]
+            ["scan", "pinwheel4", "--alg", "ruppert", "--lo", lo, "--hi", hi]
         )
         assert code == 3
 

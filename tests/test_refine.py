@@ -38,7 +38,7 @@ from refinelab.refine import (
     chew2,
     ruppert,
 )
-from refinelab.analysis import DIVERGING, TERMINATED_V, cascade_splits, classify
+from refinelab.analysis import DIVERGING, cascade_splits, classify
 
 
 def square_pslg(side=4.0):
@@ -232,7 +232,7 @@ class TestPavBoundary:
             assert b.length / a.length == pytest.approx(2 ** -0.5, rel=1e-12)
 
     @pytest.mark.parametrize("delta,verdict", [
-        (3e-13, TERMINATED_V),
+        (3e-13, TERMINATED),
         (1e-12, DIVERGING),
     ])
     def test_diametral_dead_band(self, delta, verdict):
