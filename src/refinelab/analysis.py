@@ -346,7 +346,7 @@ def _prefix_probes(run):
 
 
 def threshold_scan(target, algorithm: str, lo: float, hi: float,
-                   tol: float = 0.1, budget: int = 10000) -> ScanResult:
+                   tol: float = 0.1, budget: int = 40000) -> ScanResult:
     """Bisect the empirical termination threshold between lo and hi, and
     report it exactly.
 
@@ -355,14 +355,13 @@ def threshold_scan(target, algorithm: str, lo: float, hi: float,
     rejected.  ``tol`` must be at least the float spacing at ``hi``, or
     a midpoint could round back onto an end of the bracket forever.
 
-    The engine runs once, at ``hi`` with ``4 * budget`` insertions, stopped
+    The engine runs once, at ``hi`` with ``budget`` insertions, stopped
     at its first DIVERGING verdict, and every probe is read from that run
-    (``_prefix_probes``).  When it diverges, a run at alpha terminates
-    exactly when alpha <= M, the largest angle of a circumcenter event in
-    it: M is ``exact_deg``, and the bisection ends with lo <= M < hi.  The
-    budget is read only at the head of the engine's loop, and a diverging
-    run stops at the split that gives its verdict, so a probe conclusive
-    under ``budget`` ends at the same event under four times that.
+    (``_prefix_probes``): by the prefix lemma, each probe is exactly the
+    run at its angle with ``budget`` insertions.  When the run at ``hi``
+    diverges, a run at alpha terminates exactly when alpha <= M, the
+    largest angle of a circumcenter event in it: M is ``exact_deg``, and
+    the bisection ends with lo <= M < hi.
     """
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
@@ -372,8 +371,8 @@ def threshold_scan(target, algorithm: str, lo: float, hi: float,
         raise ScanError(f"unknown algorithm {algorithm!r}")
     pslg = _as_pslg(target)
     engine = ruppert if algorithm == RUPPERT else chew2
-    cfg = RefinementConfig(alpha_deg=hi, max_insertions=4 * budget)
-    run = engine(pslg, cfg, stop=CascadeChecker().feed)
+    run = engine(pslg, RefinementConfig(alpha_deg=hi, max_insertions=budget),
+                 stop=CascadeChecker().feed)
     probe_at, angles = _prefix_probes(run)
     probes: list[ScanProbe] = []
 
@@ -381,8 +380,8 @@ def threshold_scan(target, algorithm: str, lo: float, hi: float,
         p = probe_at(alpha)
         if p.verdict.status == INCONCLUSIVE:
             raise ScanError(
-                f"probe at alpha={alpha:.4f} stayed inconclusive after "
-                f"widening the budget to {cfg.max_insertions}"
+                f"probe at alpha={alpha:.4f} is inconclusive: "
+                f"{p.status} after {p.insertions} insertions"
             )
         probes.append(p)
         return p

@@ -125,10 +125,10 @@ def _in_box(box, x: float, y: float) -> bool:
 def _box_cells(mx: float, my: float, r: float):
     """The grid level e and the cells, of side 2**e, that the box covers.
 
-    The box is first widened by a relative 2**-40, more than the rounding
+    The box is first padded by a relative 2**-40, more than the rounding
     of ``x - mx`` and of ``mx + r``, so every float (x, y) that ``_in_box``
     accepts has ``floor(x * 2**-e)`` in the covered range; 2**e exceeds
-    the widened side, so the box covers at most 2x2 cells.
+    the padded side, so the box covers at most 2x2 cells.
     """
     pad = (abs(mx) + abs(my) + r) * 2.0 ** -40
     lox, hix = mx - r - pad, mx + r + pad

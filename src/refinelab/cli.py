@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 input error, 3 engine or solver
 failure.  The input's segments must enclose the domain: a circumcenter
-that lands outside it ends the run with exit 3.  All numeric arguments
-are degrees; reports echo the full configuration so runs can be
-reproduced byte for byte (pass ``--no-timestamp`` to omit wall-clock
-fields from JSON output).
+that lands outside it ends the run with exit 3.  Angles are in degrees:
+--alpha, --theta, --lo, --hi, --tol and solve's THETA, ALPHA1 and ALPHA2.
+Reports echo the full configuration so runs can be reproduced byte for
+byte (pass ``--no-timestamp`` to omit wall-clock fields from JSON output).
 
 ``refine`` opens its five artifacts only after the run and its report
 are done, so a failed run writes nothing.  The trace, ``.node``, ``.ele``
-and SVG writers then write their lines straight into the open files;
-called without a stream, they return the whole text instead.
+and SVG writers then write their lines straight into the open files.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .refine import (
     EngineError,
     RefinementConfig,
     RefinementOutcome,
-    _write_lines,
     chew2,
     ruppert,
 )
@@ -59,39 +57,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def write_node(tri: Triangulation, out=None) -> str | None:
-    """Vertex list in .node convention (alive vertices, reindexed); written
-    into ``out`` if one is given."""
-    def lines():
-        yield f"{tri.vertex_count()} 2 0 0\n"
-        alive = (p for p, ok in zip(tri.points, tri.alive) if ok)
-        for new, p in enumerate(alive):
-            yield f"{new} {_fmt(p.x)} {_fmt(p.y)}\n"
-
-    return _write_lines(lines(), out)
+def write_node(tri: Triangulation, out) -> None:
+    """Write the vertex list in .node convention (alive vertices,
+    reindexed) into the open text stream ``out``."""
+    out.write(f"{tri.vertex_count()} 2 0 0\n")
+    alive = (p for p, ok in zip(tri.points, tri.alive) if ok)
+    out.writelines(f"{i} {_fmt(p.x)} {_fmt(p.y)}\n" for i, p in enumerate(alive))
 
 
-def write_ele(tri: Triangulation, out=None) -> str | None:
-    """Triangle list in .ele convention, matching write_node's indices;
-    written into ``out`` if one is given."""
+def write_ele(tri: Triangulation, out) -> None:
+    """Write the triangle list in .ele convention, matching write_node's
+    indices, into the open text stream ``out``."""
     # index[vid]: the alive vertices before vid, write_node's index of vid
     index = list(accumulate(tri.alive, initial=0))
-    tris = tri.triangles
-
-    def lines():
-        yield f"{len(tris)} 3 0\n"
-        # ids only grow and a dict keeps insertion order, so the triangles
-        # come in id order (``Triangulation.check`` reports otherwise)
-        for i, (a, b, c) in enumerate(tris.values()):
-            yield f"{i} {index[a]} {index[b]} {index[c]}\n"
-
-    return _write_lines(lines(), out)
+    out.write(f"{len(tri.triangles)} 3 0\n")
+    # ids only grow and a dict keeps insertion order, so the triangles
+    # come in id order (``Triangulation.check`` reports otherwise)
+    out.writelines(f"{i} {index[a]} {index[b]} {index[c]}\n"
+                   for i, (a, b, c) in enumerate(tri.triangles.values()))
 
 
-def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None,
-                out=None) -> str | None:
-    """Render the mesh as standalone SVG, one polygon per triangle;
-    written into ``out`` if one is given.
+def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None,
+                out) -> None:
+    """Write the mesh as standalone SVG, one polygon per triangle, into
+    the open text stream ``out``.
 
     Triangles with a minimum angle below ``highlight_below_deg`` are
     filled red; constraint subsegments are drawn as heavy strokes.
@@ -115,27 +104,22 @@ def mesh_to_svg(tri: Triangulation, highlight_below_deg: float | None = None,
             sx[vid] = f"{(p.x - left) * scale:.3f}"
             sy[vid] = f"{(top - p.y) * scale:.3f}"
 
-    def lines():
-        yield '<?xml version="1.0" encoding="UTF-8"?>\n'
-        yield (f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'width="{view[2] * scale:.1f}" height="{view[3] * scale:.1f}">\n')
-        tail = f'stroke="#777" stroke-width="{stroke * scale:.3f}"/>\n'
-        plain = f'" fill="#e8e8e8" {tail}'
-        skinny = f'" fill="#e05545" {tail}'
-        # in id order, as write_ele writes them
-        for tid, (a, b, c) in tri.triangles.items():
-            fill = plain
-            if highlight_below_deg is not None:
-                if tri.min_angle(tid) < highlight_below_deg:
-                    fill = skinny
-            yield (f'<polygon points="{sx[a]},{sy[a]} {sx[b]},{sy[b]} '
-                   f'{sx[c]},{sy[c]}{fill}')
-        tail = f'stroke="#000" stroke-width="{3 * stroke * scale:.3f}"/>\n'
-        for (u, v) in tri.subsegments:
-            yield f'<line x1="{sx[u]}" y1="{sy[u]}" x2="{sx[v]}" y2="{sy[v]}" {tail}'
-        yield "</svg>\n"
-
-    return _write_lines(lines(), out)
+    out.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+              f'<svg xmlns="http://www.w3.org/2000/svg" '
+              f'width="{view[2] * scale:.1f}" height="{view[3] * scale:.1f}">\n')
+    tail = f'stroke="#777" stroke-width="{stroke * scale:.3f}"/>\n'
+    plain = f'" fill="#e8e8e8" {tail}'
+    skinny = f'" fill="#e05545" {tail}'
+    below = highlight_below_deg
+    # in id order, as write_ele writes them
+    out.writelines(
+        f'<polygon points="{sx[a]},{sy[a]} {sx[b]},{sy[b]} {sx[c]},{sy[c]}'
+        f'{skinny if below is not None and tri.min_angle(tid) < below else plain}'
+        for tid, (a, b, c) in tri.triangles.items())
+    tail = f'stroke="#000" stroke-width="{3 * stroke * scale:.3f}"/>\n'
+    out.writelines(f'<line x1="{sx[u]}" y1="{sy[u]}" x2="{sx[v]}" y2="{sy[v]}" {tail}'
+                   for (u, v) in tri.subsegments)
+    out.write("</svg>\n")
 
 
 def run_report(outcome: RefinementOutcome, source: dict,
@@ -294,9 +278,12 @@ def _build_parser() -> _Parser:
     r.add_argument("input")
     r.add_argument("--alg", choices=("ruppert", "chew2"), required=True)
     r.add_argument("--alpha", type=float, required=True, help="min angle (deg)")
-    r.add_argument("--budget", type=int, default=10000)
+    r.add_argument("--budget", type=int, default=10000,
+                   help="most insertions of the run (default %(default)s)")
     r.add_argument("--min-length-ratio", type=float, default=2.0 ** -12)
-    r.add_argument("--closed-diametral", action="store_true")
+    r.add_argument("--closed-diametral", action="store_true",
+                   help="a vertex on a diametral circle encroaches "
+                        "(read by ruppert only)")
     r.add_argument("--out-prefix", default=None)
     r.add_argument("--no-timestamp", action="store_true")
     r.set_defaults(func=_cmd_refine)
@@ -309,7 +296,9 @@ def _build_parser() -> _Parser:
     s.add_argument("--hi", type=float, required=True)
     s.add_argument("--tol", type=float, default=0.1)
     s.add_argument("--delta", type=float, default=1e-3)
-    s.add_argument("--budget", type=int, default=10000)
+    s.add_argument("--budget", type=int, default=40000,
+                   help="most insertions of the one run at --hi that every "
+                        "probe is read from (default %(default)s)")
     s.add_argument("--out", default=None)
     s.set_defaults(func=_cmd_scan)
 

@@ -25,11 +25,10 @@ shorter than the floor ends the run at once, even when it also spends
 the last of the budget.  An optional ``stop`` hook is then called with
 each split event that did not hit the floor, and ends the run
 ``STOPPED`` when it returns true; the threshold scan passes one to end
-a probe at its first DIVERGING verdict, and a run without a hook is
-unchanged.  The conforming engine tests each new vertex and each new
-subsegment once: a circumcenter before it is inserted, a split midpoint
-and its two halves right after the split.  Runs are deterministic:
-identical inputs give bit-identical traces.
+a probe at its first DIVERGING verdict.  The conforming engine tests
+each new vertex and each new subsegment once: a circumcenter before it
+is inserted, a split midpoint and its two halves right after the split.
+Runs are deterministic: identical inputs give bit-identical traces.
 
 The prefix lemma.  The angle ``alpha_deg`` is read in one place only: a
 triangle is queued when its minimum angle is below it.  Take a < b:
@@ -107,15 +106,6 @@ def _num(v) -> str:
     return _encode(v)
 
 
-def _write_lines(lines, out=None) -> Optional[str]:
-    """Join the lines into one string, or, given an open text stream,
-    write them into it one at a time and return None."""
-    if out is None:
-        return "".join(lines)
-    out.writelines(lines)
-    return None
-
-
 @dataclass(frozen=True)
 class RefinementConfig:
     alpha_deg: float
@@ -168,9 +158,9 @@ class RefinementTrace:
             out[e.kind] = out.get(e.kind, 0) + 1
         return out
 
-    def to_jsonl(self, out=None) -> Optional[str]:
-        """One JSON line per event; written into ``out`` if one is given."""
-        return _write_lines((e.to_json() + "\n" for e in self.events), out)
+    def to_jsonl(self, out) -> None:
+        """Write one JSON line per event into the open text stream ``out``."""
+        out.writelines(e.to_json() + "\n" for e in self.events)
 
     @staticmethod
     def from_jsonl(text: str) -> "RefinementTrace":
@@ -385,15 +375,14 @@ def chew2(pslg: Pslg, cfg: RefinementConfig, stop=None) -> RefinementOutcome:
     return _Run(pslg, cfg, CHEW2).run(stop)
 
 
-def audit(outcome: RefinementOutcome, cfg: Optional[RefinementConfig] = None
-          ) -> list[str]:
+def audit(outcome: RefinementOutcome) -> list[str]:
     """Verify the outcome's postconditions and trace invariants.
 
     Termination means no skinny triangle remains; only the conforming
     engine additionally guarantees that no subsegment is encroached (the
     constrained engine leaves diametral circles non-empty by design).
     """
-    cfg = cfg or outcome.config
+    cfg = outcome.config
     problems: list[str] = []
     tri = outcome.triangulation
 

@@ -7,13 +7,14 @@ encroachment that the two whole-mesh encroachment scans below apply,
 ``geom.DegenerateTriangleError``, which the reference ``min_angle_deg``
 raises as the real one does, the ``Point``, ``Pslg`` and ``Segment``
 types that the reference enclosure returns, and the engines and the
-verdict that the reference threshold scan runs probe by probe.
+verdict that the reference threshold scan runs probe by probe.  The
+writers stream into open files; ``written`` gives the text one wrote.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from refinelab.analysis import (
@@ -36,6 +37,13 @@ from refinelab.refine import (
     chew2,
     ruppert,
 )
+
+
+def written(write, *args) -> str:
+    """The text ``write(*args, out)`` writes into a fresh ``io.StringIO``."""
+    out = io.StringIO()
+    write(*args, out)
+    return out.getvalue()
 
 
 def orient_oracle(a, b, c) -> int:
@@ -401,12 +409,11 @@ def enclose_oracle(p: Pslg, scale: float = 4.0) -> Pslg:
     return Pslg(p.vertices + corners, p.segments + sides, p.holes)
 
 
-def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, budget=10000):
+def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, budget=40000):
     """``analysis.threshold_scan`` by its definition: every probe is its
     own engine run with ``budget`` insertions, stopped at its first
-    DIVERGING verdict, and an inconclusive probe is run once more with a
-    four times larger budget.  ``exact_deg`` is the largest angle of any
-    event in the run at ``hi``."""
+    DIVERGING verdict.  ``exact_deg`` is the largest angle of any event in
+    the run at ``hi``."""
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
     if not tol >= math.ulp(hi):
@@ -422,14 +429,10 @@ def threshold_scan_oracle(target, algorithm, lo, hi, tol=0.1, budget=10000):
         outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
         verdict = classify(outcome)
         if verdict.status == INCONCLUSIVE:
-            cfg = replace(cfg, max_insertions=4 * cfg.max_insertions)
-            outcome = engine(pslg, cfg, stop=CascadeChecker().feed)
-            verdict = classify(outcome)
-            if verdict.status == INCONCLUSIVE:
-                raise ScanError(
-                    f"probe at alpha={alpha:.4f} stayed inconclusive after "
-                    f"widening the budget to {cfg.max_insertions}"
-                )
+            raise ScanError(
+                f"probe at alpha={alpha:.4f} is inconclusive: "
+                f"{outcome.status} after {outcome.insertions} insertions"
+            )
         p = ScanProbe(
             alpha_deg=alpha,
             status=outcome.status,

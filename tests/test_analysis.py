@@ -324,11 +324,12 @@ class TestThresholdScan:
                 ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 20.0, 25.0
             )
 
-    def test_inconclusive_probe_widens_budget_once_then_errors(self):
-        with pytest.raises(ScanError, match="inconclusive after widening"):
+    def test_inconclusive_probe_names_its_run(self):
+        with pytest.raises(ScanError, match=r"^probe at alpha=35\.0000 is "
+                           "inconclusive: BUDGET_EXHAUSTED after 48 insertions$"):
             threshold_scan(
                 ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0,
-                tol=0.1, budget=12,
+                tol=0.1, budget=48,
             )
 
     def test_probe_records(self):
@@ -363,13 +364,13 @@ class TestProbesReadFromOneRun:
     @pytest.mark.parametrize("args", ACCEPTANCE_SCANS + [
         (ExampleConfig(family=PAV, delta=1e-3), "RUPPERT", 28.0, 31.0, 0.25),
         (ExampleConfig(family=PINWHEEL, n=5), "CHEW2", 28.0, 38.0, 0.05),
-        # the run at hi diverges only with the widened budget (190 insertions)
+        # the run at hi diverges with 190 of its 192 insertions
         (ExampleConfig(family=EXAMPLE2, delta=1e-3), "RUPPERT", 25.0, 32.0, 0.1,
-         48),
+         192),
         # about 50 probes, down to adjacent floats
         (ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0,
          math.ulp(35.0)),
-    ], ids=ACCEPTANCE_IDS + ["pav-28-31", "pinwheel5-chew2", "widened-hi", "ulp"])
+    ], ids=ACCEPTANCE_IDS + ["pav-28-31", "pinwheel5-chew2", "hi-budget-192", "ulp"])
     def test_scan_equals_oracle(self, args):
         assert threshold_scan(*args) == threshold_scan_oracle(*args)
 
@@ -378,13 +379,13 @@ class TestProbesReadFromOneRun:
          "does not terminate"),
         ((ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 20.0, 25.0),
          "does not diverge"),
-        # lo terminates only with the widened budget, hi never diverges
+        # lo terminates, hi spends its budget without a verdict
         ((ExampleConfig(family=PINWHEEL, n=4), "RUPPERT", 25.0, 35.0, 0.1,
-          12), "inconclusive after widening"),
+          48), "is inconclusive: BUDGET_EXHAUSTED after 48 insertions"),
         # chew2 never diverges on pinwheel(3): hi stays inconclusive
         ((ExampleConfig(family=PINWHEEL, n=3), "CHEW2", 20.0, 40.0, 0.05,
-          1000), "inconclusive after widening"),
-    ], ids=["lo-terminates-not", "hi-diverges-not", "budget-12", "pinwheel3-chew2"])
+          4000), "is inconclusive"),
+    ], ids=["lo-terminates-not", "hi-diverges-not", "budget-48", "pinwheel3-chew2"])
     def test_error_equals_oracle(self, args, message):
         with pytest.raises(ScanError, match=message) as got:
             threshold_scan(*args)

@@ -13,6 +13,7 @@ from refinelab.geom import Point
 from refinelab.generators import PINWHEEL, ExampleConfig, pav, pinwheel
 from refinelab.pslg import Pslg, Segment, parse_poly, write_poly
 from refinelab.refine import RefinementConfig, RefinementTrace, ruppert
+from oracles import written
 from test_cdt import islanded_pslg
 
 
@@ -250,6 +251,16 @@ class TestScan:
         assert code == 3
         assert "tolerance must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget, code, err", [
+        ("0", 2, "input error: max_insertions must be at least 1"),
+        ("48", 3, "inconclusive: BUDGET_EXHAUSTED after 48 insertions"),
+    ], ids=["budget-0", "budget-48"])
+    def test_budget_is_the_insertions_of_the_run_at_hi(self, capsys, budget,
+                                                       code, err):
+        assert main(["scan", "pinwheel4", "--alg", "ruppert", "--lo", "25",
+                     "--hi", "35", "--budget", budget]) == code
+        assert err in capsys.readouterr().err
+
     def test_scan_accepts_poly_path(self, tmp_path, capsys):
         poly = tmp_path / "pin4.poly"
         main(["generate", "pinwheel", "--n", "4", "-o", str(poly)])
@@ -293,8 +304,8 @@ class TestSolve:
 class TestWriters:
     def test_mesh_files_consistent(self, tmp_path):
         tri = Triangulation.build(pinwheel(4))
-        node = write_node(tri)
-        ele = write_ele(tri)
+        node = written(write_node, tri)
+        ele = written(write_ele, tri)
         n = int(node.splitlines()[0].split()[0])
         assert n == 9
         assert len(node.splitlines()) == n + 1
@@ -306,7 +317,7 @@ class TestWriters:
 
     def test_svg_valid_xml_one_polygon_per_triangle(self):
         tri = Triangulation.build(pinwheel(4))
-        svg = mesh_to_svg(tri, highlight_below_deg=31.0)
+        svg = written(mesh_to_svg, tri, 31.0)
         root = ET.fromstring(svg)
         polys = [e for e in root if e.tag.endswith("polygon")]
         assert len(polys) == len(tri.triangles)
@@ -327,11 +338,11 @@ def _writer_input(name):
 
 
 _WRITERS = {
-    "node": lambda tri, trace, out=None: write_node(tri, out),
-    "ele": lambda tri, trace, out=None: write_ele(tri, out),
-    "svg": lambda tri, trace, out=None: mesh_to_svg(tri, None, out),
-    "svg-highlight": lambda tri, trace, out=None: mesh_to_svg(tri, 31.0, out),
-    "trace": lambda tri, trace, out=None: trace.to_jsonl(out),
+    "node": lambda tri, trace, out: write_node(tri, out),
+    "ele": lambda tri, trace, out: write_ele(tri, out),
+    "svg": lambda tri, trace, out: mesh_to_svg(tri, None, out),
+    "svg-highlight": lambda tri, trace, out: mesh_to_svg(tri, 31.0, out),
+    "trace": lambda tri, trace, out: trace.to_jsonl(out),
 }
 
 
@@ -339,12 +350,11 @@ class TestStreamingWriters:
     @pytest.mark.parametrize("writer", list(_WRITERS))
     @pytest.mark.parametrize("mesh", _WRITER_INPUTS)
     def test_stream_equals_string(self, mesh, writer):
+        # each writer returns nothing and writes whole lines
         tri, trace = _writer_input(mesh)
-        write = _WRITERS[writer]
         out = io.StringIO()
-        assert write(tri, trace, out) is None
-        text = write(tri, trace)
-        assert out.getvalue() == text
+        assert _WRITERS[writer](tri, trace, out) is None
+        text = out.getvalue()
         assert text.endswith("\n") or text == ""
 
     @staticmethod
@@ -364,12 +374,12 @@ class TestStreamingWriters:
     @pytest.mark.parametrize("writer", ["svg-highlight", "trace"])
     def test_streaming_holds_less_than_half_the_string(self, refined, tmp_path,
                                                        writer):
-        # the joined string path holds about three times the file, its
-        # lines and the string; streamed, the SVG holds little more than
-        # its formatted vertex coordinates
+        # written into memory, the whole text is held at once; streamed
+        # into a file, the SVG holds little more than its formatted
+        # vertex coordinates
         args = refined.triangulation, refined.trace
         write = _WRITERS[writer]
-        whole = self.peak(lambda: write(*args))
+        whole = self.peak(lambda: written(write, *args))
         with open(tmp_path / writer, "w") as f:
             streamed = self.peak(lambda: write(*args, f))
         assert streamed < whole / 2
@@ -383,10 +393,10 @@ class TestStreamingWriters:
         poly.write_text(write_poly(pinwheel(5)))
         argv = ["refine", str(poly), "--alg", "ruppert", "--alpha", "34",
                 "--out-prefix", str(tmp_path / "pin5")]
-        svg = self.peak(lambda: mesh_to_svg(refined.triangulation, 34.0))
+        svg = self.peak(lambda: written(mesh_to_svg, refined.triangulation, 34.0))
         assert self.peak(lambda: main(argv)) < svg / 2
         with open(tmp_path / "pin5.svg") as f:
-            assert f.read() == mesh_to_svg(refined.triangulation, 34.0)
+            assert f.read() == written(mesh_to_svg, refined.triangulation, 34.0)
 
 
 class TestArtifactDigests:
@@ -443,5 +453,5 @@ class TestArtifactDigests:
 
     @pytest.mark.parametrize("highlight", [None, 31.0])
     def test_svg_of_a_built_mesh(self, highlight):
-        svg = mesh_to_svg(Triangulation.build(pinwheel(4)), highlight)
+        svg = written(mesh_to_svg, Triangulation.build(pinwheel(4)), highlight)
         assert self.sha(svg.encode()) == self.BUILT_SVG[highlight]

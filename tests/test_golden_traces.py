@@ -1,8 +1,8 @@
 """Golden digests: the engines' traces and the meshes must stay byte-identical.
 
-Each ``GOLDEN`` entry is the SHA-256 of ``outcome.trace.to_jsonl()`` for
-one family, engine, minimum angle and diametral-circle mode, with the
-insertion budget capped at 2000.  Each ``GOLDEN_MESH`` entry is the SHA-256
+Each ``GOLDEN`` entry is the SHA-256 of what ``outcome.trace.to_jsonl``
+writes for one family, engine, minimum angle and diametral-circle mode,
+with the insertion budget capped at 2000.  Each ``GOLDEN_MESH`` entry is the SHA-256
 of the points, the triangles with their ids and the subsegments of one
 triangulation: ``Triangulation.build`` on inputs with a hole and with
 constraints that must be routed through the mesh, and the final meshes of
@@ -28,6 +28,7 @@ from refinelab.cdt import Triangulation
 from refinelab.geom import Point
 from refinelab.pslg import Pslg, Segment
 from refinelab.refine import STOPPED, RefinementConfig, chew2, ruppert
+from oracles import written
 
 def _wedge(deg):
     """Two unit segments from the origin meeting at ``deg`` degrees,
@@ -261,7 +262,7 @@ def test_trace_digest(family, engine, alpha, closed):
         alpha_deg=alpha, max_insertions=2000, closed_diametral=closed
     )
     outcome = ENGINES[engine](_pslg(family), cfg)
-    digest = hashlib.sha256(outcome.trace.to_jsonl().encode()).hexdigest()
+    digest = hashlib.sha256(written(outcome.trace.to_jsonl).encode()).hexdigest()
     assert digest == GOLDEN[(family, engine, alpha, closed)]
 
 
@@ -272,7 +273,7 @@ def test_stopped_run_keeps_the_verdict(family, engine, alpha, closed):
     )
     full = ENGINES[engine](_pslg(family), cfg)
     stopped = ENGINES[engine](_pslg(family), cfg, stop=CascadeChecker().feed)
-    text, prefix = full.trace.to_jsonl(), stopped.trace.to_jsonl()
+    text, prefix = written(full.trace.to_jsonl), written(stopped.trace.to_jsonl)
     assert text.startswith(prefix)
     if stopped.status != STOPPED:
         assert prefix == text

@@ -247,10 +247,10 @@ class TestDeterminismAndEquivariance:
         cfg = RefinementConfig(alpha_deg=31)
         a = ruppert(pinwheel(4), cfg)
         b = ruppert(pinwheel(4), cfg)
-        assert a.trace.to_jsonl() == b.trace.to_jsonl()
+        assert oracles.written(a.trace.to_jsonl) == oracles.written(b.trace.to_jsonl)
         c = chew2(pinwheel(4), cfg)
         d = chew2(pinwheel(4), cfg)
-        assert c.trace.to_jsonl() == d.trace.to_jsonl()
+        assert oracles.written(c.trace.to_jsonl) == oracles.written(d.trace.to_jsonl)
 
     @pytest.mark.parametrize(
         "transform",
@@ -290,6 +290,7 @@ class TestDeterminismAndEquivariance:
     def test_trace_bytes_do_not_depend_on_hash_seed(self):
         script = (
             "import hashlib, math\n"
+            "from oracles import written\n"
             "from refinelab.generators import enclose, pinwheel\n"
             "from refinelab.geom import Point\n"
             "from refinelab.pslg import Pslg, Segment\n"
@@ -298,16 +299,17 @@ class TestDeterminismAndEquivariance:
             "wedge = enclose(Pslg((Point(0.0, 0.0), Point(1.0, 0.0),\n"
             "    Point(math.cos(t), math.sin(t))), (Segment(0, 1), Segment(0, 2))))\n"
             "h = hashlib.sha256()\n"
-            "h.update(ruppert(wedge, RefinementConfig(alpha_deg=25))"
-            ".trace.to_jsonl().encode())\n"
-            "h.update(chew2(pinwheel(4), RefinementConfig(alpha_deg=31, "
-            "max_insertions=500)).trace.to_jsonl().encode())\n"
+            "h.update(written(ruppert(wedge, RefinementConfig(alpha_deg=25))"
+            ".trace.to_jsonl).encode())\n"
+            "h.update(written(chew2(pinwheel(4), RefinementConfig(alpha_deg=31, "
+            "max_insertions=500)).trace.to_jsonl).encode())\n"
             "print(h.hexdigest())\n"
         )
-        src = os.path.dirname(os.path.dirname(refinelab.__file__))
+        path = os.pathsep.join((os.path.dirname(os.path.dirname(refinelab.__file__)),
+                                os.path.dirname(oracles.__file__)))
         digests = set()
         for seed in ("0", "1"):
-            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
             done = subprocess.run(
                 [sys.executable, "-c", script], env=env, capture_output=True,
                 text=True, check=True, timeout=120,
@@ -341,7 +343,7 @@ def _events(finite):
 class TestTraceAndAudit:
     def test_trace_serialization_round_trip(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=50))
-        text = out.trace.to_jsonl()
+        text = oracles.written(out.trace.to_jsonl)
         back = RefinementTrace.from_jsonl(text)
         assert back == out.trace
 
@@ -354,14 +356,14 @@ class TestTraceAndAudit:
     @given(st.lists(_events(finite=True), max_size=20))
     def test_finite_trace_round_trips(self, events):
         t = RefinementTrace(tuple(events))
-        text = t.to_jsonl()
+        text = oracles.written(t.to_jsonl)
         back = RefinementTrace.from_jsonl(text)
         assert back == t
-        assert back.to_jsonl() == text  # the sign of a zero survives too
+        assert oracles.written(back.to_jsonl) == text  # the sign of a zero survives too
 
     def test_trace_line_without_a_field_names_its_line(self):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=5))
-        lines = out.trace.to_jsonl().splitlines()
+        lines = oracles.written(out.trace.to_jsonl).splitlines()
         lines[2] = lines[2].replace('"lineage"', '"lineage_id"')
         with pytest.raises(ValueError, match="^trace line 3 has no 'lineage' key$"):
             RefinementTrace.from_jsonl("\n".join(lines))
@@ -371,7 +373,7 @@ class TestTraceAndAudit:
     def test_trace_line_that_is_not_a_json_object_names_its_line(self, bad):
         out = ruppert(pinwheel(4), RefinementConfig(alpha_deg=31, max_insertions=5))
         # blank lines count, so the number is the line an editor shows
-        text = out.trace.to_jsonl() + "\n" + bad + "\n"
+        text = oracles.written(out.trace.to_jsonl) + "\n" + bad + "\n"
         n = len(out.trace.events) + 2
         with pytest.raises(ValueError, match=f"^trace line {n} is not"):
             RefinementTrace.from_jsonl(text)
