@@ -3,11 +3,15 @@
 The structure is triangle-based: a dict of CCW vertex triples plus,
 per triangle id, three neighbour slots holding the triangle across each
 edge, or -1 where none is (as in Shewchuk's Triangle; there is no edge
-table).  Every operation removes a region of triangles and refills it,
-then links the new triangles to each other and to those across the
-region's rim.  Constraint subsegments carry their input-segment lineage
-and an exactly-halving length so refinement traces can reason about
-split cascades without re-deriving geometry.  A subsegment split inserts
+table).  Every operation removes a region of triangles and refills it.
+A vertex insertion finds its cavity and the cavity's rim in one flood,
+and links its fan by position, as Triangle does: each fan triangle to
+the triangle outside its rim edge and to the fan triangles before and
+after it.  Constraint routing and deletion link their new triangles to
+each other and to those across the region's rim by matching edges.
+Constraint subsegments carry their input-segment lineage and an
+exactly-halving length so refinement traces can reason about split
+cascades without re-deriving geometry.  A subsegment split inserts
 its midpoint on the edge it already knows, seeding the cavity with the
 edge's flanking triangles instead of locating the rounded midpoint, so
 the split vertex can never land outside the domain or leave a sliver
@@ -42,6 +46,7 @@ from typing import NamedTuple, Optional
 from .geom import (
     Point,
     _exact_area,
+    _proper_min_angle_deg,
     incircle_sign,
     min_angle_deg,
     orient_sign,
@@ -286,7 +291,7 @@ class Triangulation:
                     rim[u, v] = n
         return rim
 
-    def _replace(self, region: set, tris, rim=None) -> list[int]:
+    def _replace(self, region: set, tris) -> list[int]:
         """Remove the triangles of region and add tris, which fill the
         same polygon less any rim edge they leave bare; returns the new
         ids.  Each new triangle is linked across each edge to the new or
@@ -294,8 +299,7 @@ class Triangulation:
         other way round; an outside triangle whose rim edge is left bare
         gets -1 across it."""
         triangles, nbr, angles = self.triangles, self._nbr, self._angles
-        if rim is None:
-            rim = self._rim(region)
+        rim = self._rim(region)
         for tid in region:
             del triangles[tid]
             angles[tid] = math.nan
@@ -342,12 +346,16 @@ class Triangulation:
         return self.points[a], self.points[b], self.points[c]
 
     def min_angle(self, tid: int) -> float:
-        """``min_angle_deg`` of the triangle's points, computed once."""
+        """``min_angle_deg`` of the triangle's points, computed once.  A
+        live triangle is strictly CCW (fans and ears are made only where
+        the orientation is positive, and ``check`` verifies it), so the
+        degeneracy test is skipped."""
         ma = self._angles[tid]
         if ma != ma:  # NaN: not computed yet
             a, b, c = self.triangles[tid]
             pts = self.points
-            ma = self._angles[tid] = min_angle_deg(pts[a], pts[b], pts[c])
+            ma = self._angles[tid] = _proper_min_angle_deg(
+                pts[a], pts[b], pts[c])
         return ma
 
     def vertex_count(self) -> int:
@@ -464,9 +472,9 @@ class Triangulation:
         n = self._neighbor(tid, u, v)
         return [tid] if n is None else sorted((tid, n))
 
-    def _flood(self, seeds: list, admit) -> set:
+    def _flood(self, seeds: list) -> set:
         """The seeds plus every triangle reached from them across
-        non-constraint edges through triangles for which admit holds."""
+        non-constraint edges."""
         region = set(seeds)
         stack = list(seeds)
         triangles, subsegments, nbr = (
@@ -481,9 +489,8 @@ class Triangulation:
                     continue
                 if ((u, v) if u < v else (v, u)) in subsegments:
                     continue
-                if admit(n):
-                    region.add(n)
-                    stack.append(n)
+                region.add(n)
+                stack.append(n)
         return region
 
     def _insert_in_cavity(self, vid: int, seeds: list,
@@ -491,42 +498,89 @@ class Triangulation:
                           ) -> InsertResult:
         """Replace the Delaunay cavity of vertex vid, grown from seeds, by a
         fan around vid.  The edge ``split``, which vid subdivides, gets no
-        triangle when it lies on the cavity boundary."""
-        pts, triangles = self.points, self.triangles
+        triangle when it lies on the cavity boundary.
+
+        One pass floods the cavity across non-constraint edges into the
+        triangles whose circumcircle holds vid, and records each edge it
+        does not cross; one walk around the rim then makes the fan, each
+        triangle linked by its position (as in Shewchuk's Triangle): its
+        rim edge to the triangle outside, its first edge to the previous
+        fan triangle's last."""
+        pts, triangles, nbr = self.points, self.triangles, self._nbr
+        subsegments = self.subsegments
         x, y = pts[vid]
-
-        def in_circumcircle(tid):
+        cavity = set(seeds)
+        stack = list(seeds)
+        edges = []  # (u, v, triangle across or -1) of each edge not crossed
+        while stack:
+            tid = stack.pop()
             a, b, c = triangles[tid]
-            pa, pb, pc = pts[a], pts[b], pts[c]
-            return incircle_sign(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1], x, y) > 0
-
-        cavity = self._flood(seeds, in_circumcircle)
-
-        # the boundary of the cavity is its rim, as directed edges
-        rim = self._rim(cavity)
-        ring = dict(rim.keys())  # start -> end of each boundary edge
-        if len(ring) != len(rim):
-            raise TriangulationError("cavity boundary is pinched")
+            s = 3 * tid
+            for u, v, n in ((a, b, nbr[s]), (b, c, nbr[s + 1]),
+                            (c, a, nbr[s + 2])):
+                if n in cavity:
+                    continue
+                if n >= 0 and ((u, v) if u < v else (v, u)) not in subsegments:
+                    p, q, r = triangles[n]
+                    pp, pq, pr = pts[p], pts[q], pts[r]
+                    if incircle_sign(pp[0], pp[1], pq[0], pq[1],
+                                     pr[0], pr[1], x, y) > 0:
+                        cavity.add(n)
+                        stack.append(n)
+                        continue
+                edges.append((u, v, n))
+        # the rim, start -> (end, triangle across), leaves out an edge
+        # whose far triangle joined the cavity later, across a constraint
+        rim = {}
+        for u, v, n in edges:
+            if n not in cavity:
+                if u in rim:
+                    raise TriangulationError("cavity boundary is pinched")
+                rim[u] = v, n
+        angles = self._angles
+        for tid in cavity:
+            del triangles[tid]
+            angles[tid] = math.nan
         # canonical refill order: chain the boundary loop starting from its
         # smallest vertex id, so triangle creation order is independent of
         # internal triangle numbering
-        start = min(ring)
-        fan = []
+        start = min(rim)
+        created = []
+        prev = -1  # the fan triangle that ends at u, or -1: the chain broke
         u = start
-        for _ in range(len(ring)):
-            v = ring[u]
-            if not split or _edge_key(u, v) != split:
-                pu, pv = pts[u], pts[v]
+        for _ in range(len(rim)):
+            v, n = rim[u]
+            pu, pv = pts[u], pts[v]
+            if split and _edge_key(u, v) == split:
+                o = 0
+            else:
                 o = orient_sign(x, y, pu[0], pu[1], pv[0], pv[1])
                 if o < 0:
                     raise TriangulationError(
                         "cavity boundary is not star-shaped")
-                if o:  # else p lies exactly on this boundary edge
-                    fan.append((vid, u, v))
+            if o:
+                t = self._add_tri(vid, u, v)
+                created.append(t)
+                s = 3 * t
+                if n >= 0:
+                    a, b, c = triangles[n]  # n has the edge (v, u)
+                    nbr[s + 1] = n
+                    nbr[3 * n + (0 if u == b else 1 if u == c else 2)] = t
+                if prev >= 0:
+                    nbr[s] = prev
+                    nbr[3 * prev + 2] = t
+                prev = t
+            else:
+                # the split edge, or vid lies exactly on this boundary
+                # edge: either is on the hull, with no triangle across
+                prev = -1
             u = v
         if u != start:
             raise TriangulationError("cavity boundary is not a single loop")
-        created = self._replace(cavity, fan, rim)
+        first = created[0]
+        if prev >= 0 and triangles[first][1] == start:  # the loop closes
+            nbr[3 * first] = prev
+            nbr[3 * prev + 2] = first
         return InsertResult(vid, created, sorted(cavity))
 
     # -- constraint segments -------------------------------------------------
@@ -1022,7 +1076,7 @@ class Triangulation:
                 seeds = t._cavity_seeds(hole)
             except TriangulationError:
                 continue  # on a vertex or a constraint, or outside the domain
-            t._replace(t._flood(seeds, lambda tid: True), ())
+            t._replace(t._flood(seeds), ())
         t._v2t = {v: tid for tid, verts in t.triangles.items() for v in verts}
         t._index = _BoxIndex.of(t.points, t.alive, t.subsegments)
         return t

@@ -207,11 +207,18 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point:
 def min_angle_deg(a: Point, b: Point, c: Point) -> float:
     """Smallest interior angle of triangle abc, in degrees; raises when
     float arithmetic cannot give the angles."""
+    if orient_sign(a[0], a[1], b[0], b[1], c[0], c[1]) == 0:
+        raise DegenerateTriangleError("degenerate triangle has no angles")
+    return _proper_min_angle_deg(a, b, c)
+
+
+def _proper_min_angle_deg(a: Point, b: Point, c: Point) -> float:
+    """``min_angle_deg`` of a triangle known not to be degenerate, such as
+    a live triangle of a mesh, which is strictly CCW; raises only when
+    float arithmetic cannot give the angles."""
     ax, ay = a[0], a[1]
     bx, by = b[0], b[1]
     cx, cy = c[0], c[1]
-    if orient_sign(ax, ay, bx, by, cx, cy) == 0:
-        raise DegenerateTriangleError("degenerate triangle has no angles")
     # the angle at each vertex between its two outgoing edges; each
     # difference is its own subtraction, because negating b - a gives
     # -0.0 where a - b gives +0.0, and atan2(0.0, -0.0) is pi

@@ -241,16 +241,21 @@ class _Run:
         self._seg_queue: OrderedDict[tuple[int, int], None] = OrderedDict()
         # seed in vertex-triple order: triangle numbering is an internal
         # artifact, vertex ids are reproducible
-        for tid in sorted(self.tri.triangles, key=self.tri.triangles.get):
-            self._consider_triangle(tid)
+        self._consider_triangles(
+            sorted(self.tri.triangles, key=self.tri.triangles.get))
 
     # -- queues ---------------------------------------------------------------
 
-    def _consider_triangle(self, tid: int) -> None:
-        ma = self.tri.min_angle(tid)
-        if ma < self.cfg.alpha_deg:
-            heapq.heappush(self._heap, (ma, self._hseq, tid))
-            self._hseq += 1
+    def _consider_triangles(self, tids) -> None:
+        """Queue each skinny triangle of tids, in order."""
+        min_angle, alpha = self.tri.min_angle, self.cfg.alpha_deg
+        heap, seq = self._heap, self._hseq
+        for tid in tids:
+            ma = min_angle(tid)
+            if ma < alpha:
+                heapq.heappush(heap, (ma, seq, tid))
+                seq += 1
+        self._hseq = seq
 
     def _scan_new_subseg(self, key: tuple[int, int]) -> None:
         """Queue the new subsegment if any existing vertex encroaches it."""
@@ -281,8 +286,7 @@ class _Run:
             x=mid.x,
             y=mid.y,
         )
-        for tid in res.created:
-            self._consider_triangle(tid)
+        self._consider_triangles(res.created)
         if self.algorithm == RUPPERT:
             closed = self.cfg.closed_diametral
             for other in encroached_subsegs(self.tri, mid, closed):
@@ -341,8 +345,7 @@ class _Run:
             res = self.tri.insert_vertex(c, CIRCUMCENTER, start=tid)
             self.insertions += 1
             self._emit(CIRCUMCENTER_INSERT, min_angle=ma, x=c.x, y=c.y)
-            for t in res.created:
-                self._consider_triangle(t)
+            self._consider_triangles(res.created)
             return
         self._emit(
             CIRCUMCENTER_REJECTED_FOR_ENCROACHMENT,
@@ -359,8 +362,7 @@ class _Run:
                 p = self.tri.points[vid]
                 res = self.tri.delete_vertex(vid)
                 self._emit(VERTEX_DELETED, x=p.x, y=p.y)
-                for t in res.created:
-                    self._consider_triangle(t)
+                self._consider_triangles(res.created)
         for key in blockers:
             self._seg_queue.setdefault(key)
 

@@ -6,9 +6,11 @@ implementation under test, except ``geom.encroaches``, the definition of
 encroachment that the two whole-mesh encroachment scans below apply,
 ``geom.DegenerateTriangleError``, which the reference ``min_angle_deg``
 raises as the real one does, the ``Point``, ``Pslg`` and ``Segment``
-types that the reference enclosure returns, and the engines and the
-verdict that the reference threshold scan runs probe by probe.  The
-writers stream into open files; ``written`` gives the text one wrote.
+types that the reference enclosure returns, the engines and the
+verdict that the reference threshold scan runs probe by probe, and the
+triangulation's ``_rim`` and ``_replace``, through which the reference
+vertex insertion refills its cavity.  The writers stream into open
+files; ``written`` gives the text one wrote.
 """
 
 from __future__ import annotations
@@ -27,7 +29,14 @@ from refinelab.analysis import (
     _as_pslg,
     classify,
 )
-from refinelab.geom import DegenerateTriangleError, Point, encroaches
+from refinelab.cdt import InsertResult, TriangulationError
+from refinelab.geom import (
+    DegenerateTriangleError,
+    Point,
+    encroaches,
+    incircle_sign,
+    orient_sign,
+)
 from refinelab.pslg import Pslg, Segment
 from refinelab.refine import (
     CHEW2,
@@ -252,6 +261,46 @@ def flanks(tri):
         for u, v in ((a, b), (b, c), (c, a)):
             out.setdefault((min(u, v), max(u, v)), []).append(tid)
     return out
+
+
+def insert_in_cavity_oracle(tri, vid, seeds, split=None):
+    """``Triangulation._insert_in_cavity`` as three passes: flood the
+    cavity, read its rim from the finished cavity (``_rim``), and refill it
+    through ``_replace``, which links every new edge by matching it with
+    its reverse."""
+    pts, triangles, nbr = tri.points, tri.triangles, tri._nbr
+    x, y = pts[vid]
+    cavity = set(seeds)
+    stack = list(seeds)
+    while stack:
+        tid = stack.pop()
+        a, b, c = triangles[tid]
+        for i, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            n = nbr[3 * tid + i]
+            if n < 0 or n in cavity or (min(u, v), max(u, v)) in tri.subsegments:
+                continue
+            pa, pb, pc = (pts[w] for w in triangles[n])
+            if incircle_sign(*pa, *pb, *pc, x, y) > 0:
+                cavity.add(n)
+                stack.append(n)
+    rim = tri._rim(cavity)
+    ring = dict(rim.keys())  # start -> end of each boundary edge
+    if len(ring) != len(rim):
+        raise TriangulationError("cavity boundary is pinched")
+    start = u = min(ring)
+    fan = []
+    for _ in range(len(ring)):
+        v = ring[u]
+        if not split or (min(u, v), max(u, v)) != split:
+            o = orient_sign(x, y, *pts[u], *pts[v])
+            if o < 0:
+                raise TriangulationError("cavity boundary is not star-shaped")
+            if o:
+                fan.append((vid, u, v))
+        u = v
+    if u != start:
+        raise TriangulationError("cavity boundary is not a single loop")
+    return InsertResult(vid, tri._replace(cavity, fan), sorted(cavity))
 
 
 def constrained_delaunay_violations(points, triangles, constraint_edges):

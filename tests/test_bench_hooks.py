@@ -7,6 +7,8 @@ one ``refinelab refine`` call."""
 import importlib
 import os
 
+import pytest
+
 from refinelab import analysis, cdt, cli, geom, pslg, refine
 from refinelab.generators import pinwheel
 from refinelab.pslg import write_poly
@@ -82,3 +84,27 @@ def test_traced_refine_times_every_writer(monkeypatch, tmp_path):
                 "cli.report_s", "cli.svg_s", "cli.trace_write_s",
                 "cli.mesh_write_s"):
         assert m[key] > 0, key
+
+
+# recorded before the cavity kernel was rewritten: a kernel that calls
+# the predicates by other names, or empties ``InsertResult.removed``,
+# changes these
+COUNTS = {
+    "ruppert": {"geom.orient_calls": 498, "geom.incircle_calls": 330,
+                "cdt.insert_calls": 31, "cdt.cavity_tris.mean": 110 / 31},
+    "chew2": {"geom.orient_calls": 1212, "geom.incircle_calls": 367,
+              "cdt.insert_calls": 40, "cdt.cavity_tris.mean": 3.0},
+}
+
+
+@pytest.mark.parametrize("engine", sorted(COUNTS))
+def test_traced_counts_are_pinned(monkeypatch, engine):
+    tracer = _tracing(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        cfg = refine.RefinementConfig(alpha_deg=31, max_insertions=50)
+        getattr(refine, engine)(pinwheel(4), cfg)
+        m = tracer.layer_metrics()
+    finally:
+        tracer.uninstall()
+    assert {key: m[key] for key in COUNTS[engine]} == COUNTS[engine]

@@ -25,6 +25,7 @@ from oracles import (
     constrained_delaunay_violations,
     first_crossing_oracle,
     flanks,
+    insert_in_cavity_oracle,
     orient_oracle,
 )
 
@@ -597,6 +598,54 @@ class TestOperationSequences:
                     continue
                 t.delete_vertex(free[min(int(x * len(free)), len(free) - 1)])
             assert t.check() == [], (op, x, y)
+
+
+class _ThreePassInsertion(Triangulation):
+    """Vertex insertion through ``oracles.insert_in_cavity_oracle``."""
+
+    def _insert_in_cavity(self, vid, seeds, split=None):
+        return insert_in_cavity_oracle(self, vid, seeds, split)
+
+
+def _apply(t, op, x, y):
+    """One step of an operation sequence: what it returned, or the error
+    it raised."""
+    try:
+        if op == "insert":
+            return t.insert_vertex(Point(4 * x, 4 * y), CIRCUMCENTER)
+        if op == "split":
+            keys = list(t.subsegments)
+            return t.split_subsegment(*keys[min(int(x * len(keys)), len(keys) - 1)])
+        free = [v for v, ok in enumerate(t.alive)
+                if ok and t.tags[v] == CIRCUMCENTER]
+        if free:
+            return t.delete_vertex(free[min(int(x * len(free)), len(free) - 1)])
+    except TriangulationError as e:
+        return type(e), str(e)  # on a vertex or on a subsegment
+
+
+class TestCavityKernel:
+    """Insertion floods its cavity and links its fan in one pass each; it
+    must leave every triangle, id, neighbour slot and vertex-to-triangle
+    entry, in dict order, exactly as the three-pass path it replaced."""
+
+    @staticmethod
+    def state(t):
+        return (list(t.triangles.items()), t._nbr, list(t._v2t.items()),
+                t.points, t.alive, list(t.subsegments.items()))
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["insert", "split", "delete"]),
+                              st.floats(0, 1), st.floats(0, 1)),
+                    min_size=5, max_size=40))
+    def test_matches_the_three_pass_oracle(self, steps):
+        kernel = Triangulation.build(walk_pslg())
+        oracle = _ThreePassInsertion.build(walk_pslg())
+        assert self.state(kernel) == self.state(oracle)
+        for op, x, y in steps:
+            assert _apply(kernel, op, x, y) == _apply(oracle, op, x, y), (op, x, y)
+            assert self.state(kernel) == self.state(oracle), (op, x, y)
+        assert kernel.check() == []
 
 
 class TestBoxIndex:

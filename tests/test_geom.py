@@ -10,6 +10,7 @@ from refinelab.geom import (
     DegenerateTriangleError,
     Orientation,
     Point,
+    _proper_min_angle_deg,
     circumcenter,
     encroaches,
     incircle,
@@ -274,7 +275,16 @@ _grid = st.integers(-4, 4).map(float)
 class TestMinAngleBits:
     """``min_angle_deg`` computes its three vertex angles inline; it must
     give the bits of the three separate vertex-angle calls it replaced
-    (``oracles.min_angle_deg_oracle``), and raise where they raised."""
+    (``oracles.min_angle_deg_oracle``), and raise where they raised.  So
+    must its core ``_proper_min_angle_deg``, which the mesh calls without
+    the degeneracy test, on every triangle that is not collinear."""
+
+    @staticmethod
+    def assert_bits(a, b, c):
+        want = _angle_or_error(min_angle_deg_oracle, a, b, c)
+        assert _angle_or_error(min_angle_deg, a, b, c) == want
+        if orient_oracle(a, b, c):
+            assert _angle_or_error(_proper_min_angle_deg, a, b, c) == want
 
     @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
     @given(st.lists(_wide, min_size=6, max_size=6))
@@ -282,16 +292,14 @@ class TestMinAngleBits:
     def test_mixed_magnitudes(self, xs):
         a, b, c = Point(*xs[0:2]), Point(*xs[2:4]), Point(*xs[4:6])
         for p, q, r in ((a, b, c), (b, c, a), (a, c, b)):
-            assert _angle_or_error(min_angle_deg, p, q, r) == _angle_or_error(
-                min_angle_deg_oracle, p, q, r)
+            self.assert_bits(p, q, r)
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(st.lists(_grid, min_size=6, max_size=6),
            st.sampled_from([1.0, 2.0 ** -520, 2.0 ** 500]))
     def test_scaled_grid_triangles(self, xs, scale):
         a, b, c = (Point(xs[i] * scale, xs[i + 1] * scale) for i in (0, 2, 4))
-        assert _angle_or_error(min_angle_deg, a, b, c) == _angle_or_error(
-            min_angle_deg_oracle, a, b, c)
+        self.assert_bits(a, b, c)
 
     def test_every_triangle_of_the_pav_floor_mesh(self):
         out = ruppert(pav(1e-3), RefinementConfig(31.0, max_insertions=40000))
