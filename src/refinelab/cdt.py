@@ -347,9 +347,9 @@ class Triangulation:
 
     def min_angle(self, tid: int) -> float:
         """``min_angle_deg`` of the triangle's points, computed once.  A
-        live triangle is strictly CCW (fans and ears are made only where
-        the orientation is positive, and ``check`` verifies it), so the
-        degeneracy test is skipped."""
+        live triangle is strictly CCW (fans, ears and flips are made only
+        where the orientation is positive, and ``check`` verifies it), so
+        the degeneracy test is skipped."""
         ma = self._angles[tid]
         if ma != ma:  # NaN: not computed yet
             a, b, c = self.triangles[tid]

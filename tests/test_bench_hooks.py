@@ -7,8 +7,6 @@ one ``refinelab refine`` call."""
 import importlib
 import os
 
-import pytest
-
 from refinelab import analysis, cdt, cli, geom, pslg, refine
 from refinelab.generators import pinwheel
 from refinelab.pslg import write_poly
@@ -16,6 +14,10 @@ from refinelab.pslg import write_poly
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 OWNERS = (geom, pslg, cdt, refine, analysis, cli, cdt.Triangulation,
           refine.RefinementTrace)
+
+# ruppert's and chew2's runs below together
+PINNED = {"geom.orient_calls": 1710, "geom.incircle_calls": 697,
+          "cdt.insert_calls": 71, "cdt.cavity_tris.mean": 230 / 71}
 
 
 def _tracing(monkeypatch):
@@ -42,6 +44,10 @@ def test_tracer_attaches_and_restores(monkeypatch):
         tracer.uninstall()
     assert patched > 0
     assert m["refine.events.split"] + m["refine.events.circumcenter"] == 100
+    # the counts before vertex insertion became one pass: a kernel that
+    # calls the predicates by other names, or empties InsertResult.removed,
+    # changes them
+    assert {key: m[key] for key in PINNED} == PINNED
     # calls through each wrapped name reach its wrapper
     for key in ("geom.orient_calls", "geom.incircle_calls",
                 "geom.encroaches_calls", "cdt.insert_calls", "cdt.split_calls",
@@ -85,26 +91,3 @@ def test_traced_refine_times_every_writer(monkeypatch, tmp_path):
                 "cli.mesh_write_s"):
         assert m[key] > 0, key
 
-
-# recorded before the cavity kernel was rewritten: a kernel that calls
-# the predicates by other names, or empties ``InsertResult.removed``,
-# changes these
-COUNTS = {
-    "ruppert": {"geom.orient_calls": 498, "geom.incircle_calls": 330,
-                "cdt.insert_calls": 31, "cdt.cavity_tris.mean": 110 / 31},
-    "chew2": {"geom.orient_calls": 1212, "geom.incircle_calls": 367,
-              "cdt.insert_calls": 40, "cdt.cavity_tris.mean": 3.0},
-}
-
-
-@pytest.mark.parametrize("engine", sorted(COUNTS))
-def test_traced_counts_are_pinned(monkeypatch, engine):
-    tracer = _tracing(monkeypatch).Tracer()
-    tracer.install()
-    try:
-        cfg = refine.RefinementConfig(alpha_deg=31, max_insertions=50)
-        getattr(refine, engine)(pinwheel(4), cfg)
-        m = tracer.layer_metrics()
-    finally:
-        tracer.uninstall()
-    assert {key: m[key] for key in COUNTS[engine]} == COUNTS[engine]

@@ -573,30 +573,38 @@ class TestLocate:
             Triangulation().locate(0.0, 0.0)
 
 
+# each step of an operation sequence is an operation and two fractions:
+# the point inserted (scaled to the 4x4 square), or which subsegment or
+# free vertex
+_STEPS = st.lists(st.tuples(st.sampled_from(["insert", "split", "delete"]),
+                            st.floats(0, 1), st.floats(0, 1)),
+                  min_size=5, max_size=40)
+
+
+def _apply(t, op, x, y):
+    """One step of an operation sequence on t: what the operation
+    returned, or the error an insertion raised."""
+    if op == "insert":
+        try:
+            return t.insert_vertex(Point(4 * x, 4 * y), CIRCUMCENTER)
+        except TriangulationError as e:
+            return type(e), str(e)  # on a vertex or on a subsegment
+    if op == "split":
+        keys = list(t.subsegments)
+        return t.split_subsegment(*keys[min(int(x * len(keys)), len(keys) - 1)])
+    free = [v for v, ok in enumerate(t.alive)
+            if ok and t.tags[v] == CIRCUMCENTER]
+    if free:
+        return t.delete_vertex(free[min(int(x * len(free)), len(free) - 1)])
+
+
 class TestOperationSequences:
-    # each step is an operation and two fractions: the point inserted
-    # (scaled to the 4x4 square), or which subsegment or free vertex
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["insert", "split", "delete"]),
-                              st.floats(0, 1), st.floats(0, 1)),
-                    min_size=5, max_size=40))
+    @given(_STEPS)
     def test_check_stays_empty(self, steps):
         t = Triangulation.build(walk_pslg())
         for op, x, y in steps:
-            if op == "insert":
-                try:
-                    t.insert_vertex(Point(4 * x, 4 * y), CIRCUMCENTER)
-                except TriangulationError:
-                    continue  # on a vertex or on a subsegment
-            elif op == "split":
-                keys = list(t.subsegments)
-                t.split_subsegment(*keys[min(int(x * len(keys)), len(keys) - 1)])
-            else:
-                free = [v for v, ok in enumerate(t.alive)
-                        if ok and t.tags[v] == CIRCUMCENTER]
-                if not free:
-                    continue
-                t.delete_vertex(free[min(int(x * len(free)), len(free) - 1)])
+            _apply(t, op, x, y)
             assert t.check() == [], (op, x, y)
 
 
@@ -605,23 +613,6 @@ class _ThreePassInsertion(Triangulation):
 
     def _insert_in_cavity(self, vid, seeds, split=None):
         return insert_in_cavity_oracle(self, vid, seeds, split)
-
-
-def _apply(t, op, x, y):
-    """One step of an operation sequence: what it returned, or the error
-    it raised."""
-    try:
-        if op == "insert":
-            return t.insert_vertex(Point(4 * x, 4 * y), CIRCUMCENTER)
-        if op == "split":
-            keys = list(t.subsegments)
-            return t.split_subsegment(*keys[min(int(x * len(keys)), len(keys) - 1)])
-        free = [v for v, ok in enumerate(t.alive)
-                if ok and t.tags[v] == CIRCUMCENTER]
-        if free:
-            return t.delete_vertex(free[min(int(x * len(free)), len(free) - 1)])
-    except TriangulationError as e:
-        return type(e), str(e)  # on a vertex or on a subsegment
 
 
 class TestCavityKernel:
@@ -635,9 +626,7 @@ class TestCavityKernel:
                 t.points, t.alive, list(t.subsegments.items()))
 
     @settings(derandomize=True, database=None, max_examples=80, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["insert", "split", "delete"]),
-                              st.floats(0, 1), st.floats(0, 1)),
-                    min_size=5, max_size=40))
+    @given(_STEPS)
     def test_matches_the_three_pass_oracle(self, steps):
         kernel = Triangulation.build(walk_pslg())
         oracle = _ThreePassInsertion.build(walk_pslg())
