@@ -360,8 +360,11 @@ def threshold_scan(target, algorithm: str, lo: float, hi: float,
     (``_prefix_probes``): by the prefix lemma, each probe is exactly the
     run at its angle with ``budget`` insertions.  When the run at ``hi``
     diverges, a run at alpha terminates exactly when alpha <= M, the
-    largest angle of a circumcenter event in it: M is ``exact_deg``, and
-    the bisection ends with lo <= M < hi.
+    largest angle of a circumcenter event in it: M is ``exact_deg``.  The
+    probes at ``lo`` and ``hi`` are checked; then the bisection moves
+    ``hi`` to each midpoint above M and ``lo`` to each other one, so it
+    ends with lo <= M < hi.  A midpoint's probe, kept in ``probes``, is
+    a TERMINATED prefix or the diverging run itself, never inconclusive.
     """
     if not 0.0 < lo < hi < 60.0:
         raise ScanError(f"invalid bracket [{lo}, {hi}]")
@@ -374,29 +377,20 @@ def threshold_scan(target, algorithm: str, lo: float, hi: float,
     run = engine(pslg, RefinementConfig(alpha_deg=hi, max_insertions=budget),
                  stop=CascadeChecker().feed)
     probe_at, angles = _prefix_probes(run)
-    probes: list[ScanProbe] = []
-
-    def probe(alpha: float) -> ScanProbe:
-        p = probe_at(alpha)
+    probes = [probe_at(lo), probe_at(hi)]
+    for p in probes:
         if p.verdict.status == INCONCLUSIVE:
-            raise ScanError(
-                f"probe at alpha={alpha:.4f} is inconclusive: "
-                f"{p.status} after {p.insertions} insertions"
-            )
-        probes.append(p)
-        return p
-
-    if probe(lo).verdict.status != TERMINATED:
+            raise ScanError(f"probe at alpha={p.alpha_deg:.4f} is inconclusive: "
+                            f"{p.status} after {p.insertions} insertions")
+    if probes[0].verdict.status != TERMINATED:
         raise ScanError(f"refinement at lo={lo} does not terminate")
-    if probe(hi).verdict.status != DIVERGING:
+    if probes[1].verdict.status != DIVERGING:
         raise ScanError(f"refinement at hi={hi} does not diverge")
 
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        if probe(mid).verdict.status == DIVERGING:
-            hi = mid
-        else:
-            lo = mid
+        probes.append(probe_at(mid))
+        lo, hi = (lo, mid) if mid > angles[-1] else (mid, hi)
     return ScanResult(
         threshold_deg=(lo + hi) / 2.0,
         exact_deg=angles[-1],

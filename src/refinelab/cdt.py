@@ -51,7 +51,7 @@ from .geom import (
     min_angle_deg,
     orient_sign,
 )
-from .pslg import Pslg, validate
+from .pslg import Pslg, Violation, validate
 
 __all__ = [
     "INPUT",
@@ -243,7 +243,6 @@ class Triangulation:
         self.triangles: dict[int, tuple[int, int, int]] = {}
         self.subsegments: dict[tuple[int, int], Subseg] = {}
         self.lineage_root_length: dict[int, float] = {}
-        self._next_tid = 0
         # slot 3 * t + i holds the triangle across edge i of triangle t,
         # or -1: edge 0 is (a, b), edge 1 (b, c) and edge 2 (c, a).  Ids
         # are never reused, so a removed triangle's slots are left
@@ -251,10 +250,11 @@ class Triangulation:
         # took about 280 per triangle
         self._nbr = array("q")
         # min_angle's answers by triangle id, NaN where none is held; like
-        # the neighbour slots, each id's entry is made with its triangle.
-        # Triangle ids are never reused and points never move, so an
-        # answer holds until its triangle is removed.  An array of doubles
-        # takes 8 bytes per id, a dict of floats about 100 per triangle
+        # the neighbour slots, each id's entry is made with its triangle,
+        # so the array's length is the next id.  Triangle ids are never
+        # reused and points never move, so an answer holds until its
+        # triangle is removed.  An array of doubles takes 8 bytes per id,
+        # a dict of floats about 100 per triangle
         self._angles = array("d")
         self._v2t: dict[int, int] = {}
         self._index = _BoxIndex(self.points)
@@ -268,8 +268,7 @@ class Triangulation:
         return len(self.points) - 1
 
     def _add_tri(self, a: int, b: int, c: int) -> int:
-        tid = self._next_tid
-        self._next_tid += 1
+        tid = len(self._angles)
         self.triangles[tid] = (a, b, c)
         self._nbr.extend((-1, -1, -1))
         self._angles.append(math.nan)
@@ -386,7 +385,7 @@ class Triangulation:
         if not self.triangles:
             raise TriangulationError("empty triangulation")
         # without a usable start, walk from the newest triangle
-        cur = start if start in self.triangles else self._next_tid - 1
+        cur = start if start in self.triangles else len(self._angles) - 1
         if cur not in self.triangles:
             cur = next(iter(self.triangles))
         nbr = self._nbr
@@ -1041,6 +1040,9 @@ class Triangulation:
         violations = validate(pslg)
         if violations:
             raise InvalidPslgError(violations)
+        no_area = [Violation("no_area", (), "the input encloses no area")]
+        if len(pslg.vertices) < 3:
+            raise InvalidPslgError(no_area)
         pslg = pslg.with_lineages()
         t = cls()
 
@@ -1077,6 +1079,8 @@ class Triangulation:
             except TriangulationError:
                 continue  # on a vertex or a constraint, or outside the domain
             t._replace(t._flood(seeds), ())
+        if not t.triangles:
+            raise InvalidPslgError(no_area)
         t._v2t = {v: tid for tid, verts in t.triangles.items() for v in verts}
         t._index = _BoxIndex.of(t.points, t.alive, t.subsegments)
         return t

@@ -245,8 +245,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    guess = tuple(args.guess) if args.guess else (75.0, 1.0, 29.0, 30.0)
-    opt = analysis.solve_optimum(guess)
+    opt = (analysis.solve_optimum(tuple(args.guess)) if args.guess
+           else analysis.solve_optimum())
     doc = asdict(opt)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -266,11 +266,14 @@ def _build_parser() -> _Parser:
 
     g = sub.add_parser("generate", help="write a configuration as a .poly file")
     g.add_argument("family", choices=tuple(_FAMILIES))
-    g.add_argument("--n", type=int, default=4, help="pinwheel segment count")
-    g.add_argument("--delta", type=float, default=0.0, help="perturbation size")
-    g.add_argument("--theta", type=float, default=75.0, help="example2 angle (deg)")
-    g.add_argument("--a", type=float, default=1.0, help="example2 half-length")
-    g.add_argument("--scale", type=float, default=4.0, help="enclosure scale")
+    ex = generators.ExampleConfig  # each default is the library's own
+    g.add_argument("--n", type=int, default=ex.n, help="pinwheel segment count")
+    g.add_argument("--delta", type=float, default=ex.delta, help="perturbation size")
+    g.add_argument("--theta", type=float, default=ex.theta_deg,
+                   help="example2 angle (deg)")
+    g.add_argument("--a", type=float, default=ex.a, help="example2 half-length")
+    g.add_argument("--scale", type=float, default=ex.enclosure_scale,
+                   help="enclosure scale")
     g.add_argument("-o", "--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
@@ -278,9 +281,10 @@ def _build_parser() -> _Parser:
     r.add_argument("input")
     r.add_argument("--alg", choices=("ruppert", "chew2"), required=True)
     r.add_argument("--alpha", type=float, required=True, help="min angle (deg)")
-    r.add_argument("--budget", type=int, default=10000,
+    r.add_argument("--budget", type=int, default=RefinementConfig.max_insertions,
                    help="most insertions of the run (default %(default)s)")
-    r.add_argument("--min-length-ratio", type=float, default=2.0 ** -12)
+    r.add_argument("--min-length-ratio", type=float,
+                   default=RefinementConfig.min_length_ratio)
     r.add_argument("--closed-diametral", action="store_true",
                    help="a vertex on a diametral circle encroaches "
                         "(read by ruppert only)")

@@ -47,8 +47,8 @@ from __future__ import annotations
 import heapq
 import json
 from collections import OrderedDict
-from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .cdt import CIRCUMCENTER, Triangulation
 from .geom import Point, circumcenter, encroaches
@@ -122,8 +122,7 @@ class RefinementConfig:
             raise ValueError("min_length_ratio must lie in (0, 1)")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     seq: int
     kind: str
     lineage: Optional[int]
@@ -133,16 +132,13 @@ class TraceEvent:
     y: Optional[float]
 
     def to_json(self) -> str:
-        # json.dumps(asdict(self), sort_keys=True), without building a dict
+        # json.dumps(self._asdict(), sort_keys=True), without building a dict
         return (
             f'{{"kind": {_encode(self.kind)}, "length": {_num(self.length)}, '
             f'"lineage": {_num(self.lineage)}, '
             f'"min_angle_deg": {_num(self.min_angle_deg)}, '
             f'"seq": {_num(self.seq)}, "x": {_num(self.x)}, "y": {_num(self.y)}}}'
         )
-
-
-_EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
 
 
 @dataclass(frozen=True)
@@ -178,7 +174,7 @@ class RefinementTrace:
             if not isinstance(d, dict):
                 raise ValueError(f"trace line {n} is not a JSON object")
             try:
-                events.append(TraceEvent(*(d[f] for f in _EVENT_FIELDS)))
+                events.append(TraceEvent(*(d[f] for f in TraceEvent._fields)))
             except KeyError as e:
                 raise ValueError(f"trace line {n} has no {e} key") from None
         return RefinementTrace(tuple(events))

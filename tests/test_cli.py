@@ -3,6 +3,7 @@ import io
 import json
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import pytest
 
@@ -42,6 +43,10 @@ class TestGenerate:
             .split()[0]
         )
         assert angle == pytest.approx(105.0, abs=0.1)
+        # with no options, the library's defaults
+        plain = tmp_path / "plain.poly"
+        assert main(["generate", "pav", "-o", str(plain)]) == 0
+        assert read(plain) == write_poly(pav())
 
     def test_example2_opt_prints_solution(self, tmp_path, capsys):
         out = tmp_path / "opt.poly"
@@ -111,6 +116,7 @@ class TestRefine:
         report = json.loads(read(tmp_path / "pin4.report.json"))
         assert report["status"] == "TERMINATED"
         assert report["final_min_angle_deg"] >= 20.0
+        assert report["config"] == asdict(RefinementConfig(alpha_deg=20.0))
 
     def test_chew2_on_pav(self, tmp_path, capsys):
         poly = tmp_path / "pav.poly"
@@ -169,6 +175,28 @@ class TestRefine:
         code = main(["refine", str(poly), "--alg", "ruppert", "--alpha", "20"])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alg", ["ruppert", "chew2"])
+    @pytest.mark.parametrize(
+        "pslg",
+        [Pslg((Point(0, 0), Point(1, 0), Point(2, 0)),
+              (Segment(0, 1), Segment(1, 2))),
+         Pslg((), ())],
+        ids=["collinear", "no-vertices"],
+    )
+    def test_input_that_encloses_no_area_is_input_error(self, tmp_path, capsys,
+                                                        pslg, alg):
+        poly = tmp_path / "flat.poly"
+        poly.write_text(write_poly(pslg))
+        code = main(["refine", str(poly), "--alg", alg, "--alpha", "20"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: invalid input: the input encloses no area\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["flat.poly"]
+        code = main(["scan", str(poly), "--alg", alg, "--lo", "20", "--hi", "30"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "input error: invalid input: the input encloses no area\n")
 
     @pytest.mark.parametrize("alg", ["ruppert", "chew2"])
     @pytest.mark.parametrize("scale", ["1e20", "1e300"])
@@ -281,6 +309,7 @@ class TestSolve:
         assert doc["a"] == pytest.approx(0.985, abs=0.001)
         assert doc["alpha1_deg"] == pytest.approx(29.51, abs=0.01)
         assert doc["residual_norm"] < 1e-12
+        assert doc == asdict(analysis.solve_optimum())
 
     def test_explicit_guess(self, capsys):
         assert main(["solve", "--guess", "75", "1", "29", "30"]) == 0
