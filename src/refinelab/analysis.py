@@ -390,7 +390,10 @@ def threshold_scan(target, algorithm: str, lo: float, hi: float,
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         probes.append(probe_at(mid))
-        lo, hi = (lo, mid) if mid > angles[-1] else (mid, hi)
+        if mid > angles[-1]:
+            hi = mid
+        else:
+            lo = mid
     return ScanResult(
         threshold_deg=(lo + hi) / 2.0,
         exact_deg=angles[-1],
