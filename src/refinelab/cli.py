@@ -23,9 +23,8 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import analysis, generators
-from .cdt import InvalidPslgError, Triangulation, TriangulationError
-from .pslg import (Pslg, PolyParseError, _fmt, min_input_angle_deg, parse_poly,
-                   write_poly)
+from .cdt import Triangulation, TriangulationError
+from .pslg import Pslg, _fmt, min_input_angle_deg, parse_poly, write_poly
 from .refine import (
     CHEW2,
     RUPPERT,
@@ -323,7 +322,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (OSError, PolyParseError, InvalidPslgError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except (EngineError, TriangulationError, analysis.ConvergenceError,

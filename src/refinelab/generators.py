@@ -105,7 +105,7 @@ def _distance(ax: float, ay: float, bx: float, by: float) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
-def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
+def enclose(p: Pslg, scale: float = ExampleConfig.enclosure_scale) -> Pslg:
     """Wrap a configuration in an axis-aligned square of constraints.
 
     The side is scale times the configuration diameter, rounded up to a
@@ -179,7 +179,8 @@ def enclose(p: Pslg, scale: float = 4.0) -> Pslg:
     return Pslg(p.vertices + corners, p.segments + sides, p.holes)
 
 
-def pav(delta: float = 0.0, enclosure_scale: float = 4.0) -> Pslg:
+def pav(delta: float = ExampleConfig.delta,
+        enclosure_scale: float = ExampleConfig.enclosure_scale) -> Pslg:
     """Two segments of lengths sqrt(2) and 1 meeting at 105 deg - delta rad."""
     if not 0.0 <= delta < math.inf:
         raise ValueError("delta must be finite and non-negative")
@@ -195,7 +196,7 @@ def pav(delta: float = 0.0, enclosure_scale: float = 4.0) -> Pslg:
     return enclose(core, enclosure_scale)
 
 
-def pinwheel(n: int, enclosure_scale: float = 4.0) -> Pslg:
+def pinwheel(n: int, enclosure_scale: float = ExampleConfig.enclosure_scale) -> Pslg:
     """Fan of n segments at equal angles, lengths 2**((n-i)/n)."""
     if n not in (3, 4, 5):
         raise ValueError("pinwheel supports 3, 4 or 5 segments")
@@ -203,8 +204,9 @@ def pinwheel(n: int, enclosure_scale: float = 4.0) -> Pslg:
     return enclose(_fan(arms), enclosure_scale)
 
 
-def example2(theta_deg: float = 75.0, a: float = 1.0, delta: float = 0.0,
-             enclosure_scale: float = 4.0) -> Pslg:
+def example2(theta_deg: float = ExampleConfig.theta_deg, a: float = ExampleConfig.a,
+             delta: float = ExampleConfig.delta,
+             enclosure_scale: float = ExampleConfig.enclosure_scale) -> Pslg:
     """Four-segment spiral configuration.
 
     Segments from the apex: length 1+delta at 0 deg, 2a at theta,
@@ -245,7 +247,9 @@ def example2(theta_deg: float = 75.0, a: float = 1.0, delta: float = 0.0,
     return enclose(_fan(arms), enclosure_scale)
 
 
-def example2_optimized(delta: float = 0.0, enclosure_scale: float = 4.0) -> Pslg:
+def example2_optimized(
+        delta: float = ExampleConfig.delta,
+        enclosure_scale: float = ExampleConfig.enclosure_scale) -> Pslg:
     """example2 at the balanced parameters found by the equation solver."""
     from .analysis import solve_optimum
 
@@ -263,7 +267,8 @@ def build_example(cfg: ExampleConfig) -> Pslg:
     return example2_optimized(cfg.delta, cfg.enclosure_scale)
 
 
-def predicted_skinny_angle_deg(p: Pslg, family: str, n: int = 4) -> float:
+def predicted_skinny_angle_deg(p: Pslg, family: str,
+                               n: int = ExampleConfig.n) -> float:
     """Minimum angle of the designed trigger triangle, from the layout."""
     v = p.vertices
     if family == PAV:

@@ -2,16 +2,20 @@
 or inlined function would only show as a crash of a traced benchmark
 run, or as a counter or a timing that stays at zero.  This runs the
 tracer's hooks on two short engine runs, on a short threshold scan and on
-one ``refinelab refine`` call."""
+one ``refinelab refine`` call.  It also runs ``tools/abengine.py``'s
+identity gate on two checkouts that differ in one byte."""
 
 import importlib
 import os
+import shutil
+import sys
 
 from refinelab import analysis, cdt, cli, geom, pslg, refine
 from refinelab.generators import pinwheel
 from refinelab.pslg import write_poly
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
 OWNERS = (geom, pslg, cdt, refine, analysis, cli, cdt.Triangulation,
           refine.RefinementTrace)
 
@@ -91,3 +95,23 @@ def test_traced_refine_times_every_writer(monkeypatch, tmp_path):
                 "cli.mesh_write_s"):
         assert m[key] > 0, key
 
+
+def test_abengine_names_an_operation_whose_artifacts_differ(
+        monkeypatch, tmp_path, capsys):
+    # one byte of the SVG writer differs between the two checkouts, so the
+    # first refine run's .svg does, and the A/B stops there
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "refinelab")
+    for side in ("a", "b"):
+        shutil.copytree(src, tmp_path / side / "src" / "refinelab")
+    cli_py = tmp_path / "b" / "src" / "refinelab" / "cli.py"
+    text = cli_py.read_text()
+    assert "\n_SVG_SIZE = 900 " in text
+    cli_py.write_text(text.replace("\n_SVG_SIZE = 900 ", "\n_SVG_SIZE = 901 "))
+    monkeypatch.syspath_prepend(TOOLS)
+    abengine = importlib.import_module("abengine")
+    code = abengine.main([str(tmp_path / "a"), str(tmp_path / "b"), "--rounds", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "round 1: cascade operation pav/ruppert@31: " in out
+    # the refinelab modules the other tests use are in place again
+    assert sys.modules["refinelab.cli"] is cli

@@ -340,6 +340,28 @@ class TestDelete:
             assert seg in t.subsegments
         assert t.check() == []
 
+    def test_vertex_on_hull_edge_not_deletable(self):
+        # (0,0)-(4,0) is a hull edge but no constraint, so a circumcenter
+        # can land on it; its fan is open, and the walk around it stops
+        # at both ends of the hull
+        p = Pslg(
+            vertices=(Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)),
+            segments=(Segment(1, 2), Segment(2, 3)),
+        )
+        t = Triangulation.build(p)
+        v = t.insert_vertex(Point(2.0, 0.0), CIRCUMCENTER).vertex
+        with pytest.raises(TriangulationError, match="vertex 4 touches the boundary"):
+            t.delete_vertex(v)
+
+    def test_deleted_vertex_not_deletable_again(self):
+        t = Triangulation.build(square_pslg(4.0))
+        t.insert_vertex(Point(1.0, 1.0), CIRCUMCENTER)
+        v = t.insert_vertex(Point(2.5, 2.0), CIRCUMCENTER).vertex
+        t.delete_vertex(v)
+        with pytest.raises(TriangulationError,
+                           match="vertex 5 has no incident triangle"):
+            t.delete_vertex(v)
+
 
 class TestFirstConstraintCrossing:
     @staticmethod

@@ -212,6 +212,12 @@ class TestExampleConfig:
         assert len(build_example(ExampleConfig(family=PAV)).vertices) == 7
         assert len(build_example(ExampleConfig(family=PINWHEEL, n=5)).vertices) == 10
         assert len(build_example(ExampleConfig(family=EXAMPLE2)).vertices) == 9
+        # the builders' defaults are the config's: a default config builds
+        # what each builder builds with no optional argument
+        for family, builder in ((PAV, pav), (PINWHEEL, lambda: pinwheel(4)),
+                                (EXAMPLE2, example2),
+                                (generators.EXAMPLE2_OPT, example2_optimized)):
+            assert build_example(ExampleConfig(family=family)) == builder(), family
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

@@ -1,26 +1,52 @@
-"""A/B engine timing of two checkouts in one process.
+"""A/B timing of two checkouts on perfbench's own operations, in one process.
 
     python tools/abengine.py PARENT CHANGE [--rounds N]
 
-Each checkout's ``src/refinelab`` is copied under its own package name
-(``refinelab_parent``, ``refinelab_change``) and both are imported into
-this process, so the two sides share one interpreter, one heap and one
-CPU state, which processes started one after another do not.  Each round
-runs, for each side in turn (the order alternates from round to round),
-the engine on the five cascade inputs of ``refinelab refine`` and the
-five acceptance threshold scans, and times each group with
-``time.perf_counter``; nothing is written to disk.  Every run's trace
-bytes and every scan result must be the same on both sides, or the tool
-stops with exit code 1.  It prints, per group, each side's median and
-quartiles, the change's median relative to the parent's, and the rounds
-in which the change was faster.  Standard library only.
+For each checkout, the tool runs the operations that perfbench's
+``workloads.build(workload, 1, workdir)`` returns for ``scan``, ``cascade``
+and ``mesh``, and checks each with the operation's own ``check``.  It only
+reads ``perfbench/`` (this repository's, as ``tools/linecov.py
+--workloads`` does): it copies that directory and both checkouts'
+``src/refinelab`` into one temporary directory and writes nothing outside
+it.
+
+Both checkouts run in this one process, so the two sides share one
+interpreter, one heap and one CPU state, which processes started one after
+another do not.  Each checkout's package is copied under its own name
+(``refinelab_parent``, ``refinelab_change``).  While a side's
+``workloads``, ``checks`` and ``inputs`` are imported, ``refinelab`` and
+``refinelab.<mod>`` are aliased to that side's modules; the aliases and
+those three modules are dropped again before the other side is imported.
+The package names must differ: ``generators.example2_optimized`` imports
+``.analysis`` when it is called, inside the timed ``scan`` operation, so
+one shared name could send that import to the other side's code.
+
+Each side builds its operations at seed 1 and runs each warm-up operation
+once.  Then, one workload after the other, each round runs every
+operation of the workload on both sides, one right after the other, so
+that the two runs of an operation see nearly the same host; the side
+that goes first alternates from round to round.  As in perfbench's
+worker, each ``op.run()`` is timed after a ``gc.collect()`` and
+``op.check()`` runs outside the timing.  An operation whose check
+reports it failed (the two ruppert ``mesh`` runs, under the
+dropped-skinny-triangle fault) is counted, as the worker counts it; one
+that raises stops the tool.
+
+Both sides must agree on every operation's ``Checked`` fields and output
+bytes: the ``ScanResult``'s ``repr``, the mesh run's trace as the lines
+``to_jsonl`` writes, and the five ``refine`` artifacts (with the side's
+workdir taken out of ``report.json``'s input path).  If they differ, the
+tool names the workload, the operation and the round, and exits with
+code 1.  Otherwise it prints, per workload, each side's median and
+quartiles of the round total, the change's median relative to the
+parent's, the rounds in which the change was faster, and the failed
+operations per round.  Peak RSS is not compared, because both sides
+share one process.  Standard library only.
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
 import gc
-import hashlib
 import importlib
 import io
 import shutil
@@ -30,84 +56,80 @@ import tempfile
 import time
 from pathlib import Path
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SIDES = ("parent", "change")
-
-# family, engine, alpha, budget: the cascade inputs of ``refinelab refine``
-# (10000 is ``refine --budget``'s default)
-CASCADES = (
-    ("pav", "ruppert", 31.0, 40000),
-    ("pinwheel4", "ruppert", 31.0, 10000),
-    ("pinwheel4", "chew2", 31.0, 10000),
-    ("spiral-opt", "ruppert", 30.0, 10000),
-    ("pinwheel5", "ruppert", 34.0, 10000),
-)
-# target, engine, lo, hi, tol: the five acceptance threshold scans
-SCANS = (
-    ("pinwheel4", "RUPPERT", 25.0, 35.0, 0.1),
-    ("pinwheel4", "CHEW2", 25.0, 35.0, 0.1),
-    ("pav", "RUPPERT", 25.0, 32.0, 0.1),
-    ("spiral-opt", "RUPPERT", 25.0, 32.0, 0.1),
-    ("pinwheel5", "RUPPERT", 30.0, 36.0, 0.2),
-)
+WORKLOADS = ("scan", "cascade", "mesh")
 
 
-def load(checkout: str, name: str, into: Path):
-    """Import ``checkout/src/refinelab`` as the package ``name``."""
-    shutil.copytree(Path(checkout) / "src" / "refinelab", into / name)
-    return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("analysis", "generators", "refine")}
+def load(side: str, tmp: Path) -> dict:
+    """Import ``tmp/refinelab_<side>`` and perfbench's ``workloads`` on top
+    of it; build each workload's operations in ``tmp/<side>/<workload>``
+    and run its warm-up operation."""
+    name = f"refinelab_{side}"
+    alias = {"refinelab": importlib.import_module(name)} | {
+        f"refinelab.{path.stem}": importlib.import_module(f"{name}.{path.stem}")
+        for path in (tmp / name).glob("[!_]*.py")}
+    saved = {key: sys.modules.pop(key, None)
+             for key in (*alias, "workloads", "checks", "inputs")}
+    sys.modules.update(alias)
+    try:
+        bench = importlib.import_module("workloads")
+    finally:
+        for key in saved:
+            sys.modules.pop(key, None)
+        sys.modules.update((key, mod) for key, mod in saved.items() if mod)
+    plan = {}
+    for workload in WORKLOADS:
+        (work := tmp / side / workload).mkdir(parents=True)
+        ops, warmup = bench.build(workload, 1, str(work))
+        timed(workload, warmup, work)
+        plan[workload] = [(op, work) for op in ops]
+    return plan
 
 
-def pslg(pkg, family):
-    gen = pkg["generators"]
-    return {"pav": lambda: gen.pav(1e-3),
-            "pinwheel4": lambda: gen.pinwheel(4),
-            "pinwheel5": lambda: gen.pinwheel(5),
-            "spiral-opt": lambda: gen.example2_optimized(1e-3)}[family]()
-
-
-def cascades(pkg):
-    """Engine seconds over the cascade inputs, and each trace's digest."""
-    refine = pkg["refine"]
-    spent, digests = 0.0, []
-    for family, engine, alpha, budget in CASCADES:
-        p = pslg(pkg, family)
-        cfg = refine.RefinementConfig(alpha, max_insertions=budget)
+def timed(workload: str, op, work: Path):
+    """Seconds of one run, then its check and its output."""
+    with contextlib.redirect_stdout(io.StringIO()):  # refine's two lines
         gc.collect()
-        t0 = time.perf_counter()
-        out = getattr(refine, engine)(p, cfg)
-        spent += time.perf_counter() - t0
-        text = io.StringIO()
-        out.trace.to_jsonl(text)
-        digests.append(hashlib.sha256(text.getvalue().encode()).hexdigest())
-    return spent, digests
+        t = time.perf_counter()
+        out = op.run()
+        spent = time.perf_counter() - t
+    # a mesh run's trace as the lines to_jsonl writes; a scan's result; or a
+    # refine run's exit code and its files: "family/alg@alpha" writes
+    # family-alg.<artifact>, and its report holds the side's workdir
+    text = [e.to_json() for e in out.trace.events] if workload == "mesh" else repr(out)
+    files = [path.read_bytes().replace(bytes(work), b"") for path in
+             sorted(work.glob(op.name.split("@")[0].replace("/", "-") + ".*"))]
+    return spent, (vars(op.check(out)), text, files)
 
 
-def scans(pkg):
-    """Seconds over the acceptance scans, and each result's text."""
-    analysis = pkg["analysis"]
-    spent, results = 0.0, []
-    for family, engine, lo, hi, tol in SCANS:
-        p = pslg(pkg, family)
-        gc.collect()
-        t0 = time.perf_counter()
-        res = analysis.threshold_scan(p, getattr(analysis, engine), lo, hi, tol)
-        spent += time.perf_counter() - t0
-        results.append(repr(res))
-    return spent, results
+def spread(xs: list) -> str:
+    q = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return f"{statistics.median(xs):.3f} s (quartiles {q[0]:.3f}-{q[2]:.3f})"
 
 
-def summary(label: str, times: dict) -> str:
-    base, new = times["parent"], times["change"]
-    wins = sum(n < b for b, n in zip(base, new))
-
-    def spread(xs):
-        q = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
-        return f"{statistics.median(xs):.3f} s (quartiles {q[0]:.3f}-{q[2]:.3f})"
-
-    change = statistics.median(new) / statistics.median(base) - 1.0
-    return (f"{label}: parent {spread(base)}, change {spread(new)}, "
-            f"{change:+.1%}, change faster in {wins} of {len(base)} rounds")
+def ab(plans: dict, rounds: int) -> int:
+    """Run each workload's rounds and print its summary; stop at the first
+    operation on which the sides differ."""
+    for workload in WORKLOADS:
+        times, failed = {side: [0.0] * rounds for side in SIDES}, 0
+        for r in range(rounds):
+            for i, (op, _) in enumerate(plans["parent"][workload]):
+                seen = {}
+                for side in SIDES[::-1] if r % 2 else SIDES:
+                    spent, seen[side] = timed(workload, *plans[side][workload][i])
+                    times[side][r] += spent
+                if seen["parent"] != seen["change"]:
+                    print(f"round {r + 1}: {workload} operation {op.name}: "
+                          "the sides' checks or outputs differ")
+                    return 1
+                failed += seen["parent"][0]["failed"]
+        base, new = times["parent"], times["change"]
+        print(f"{workload}: parent {spread(base)}, change {spread(new)}, "
+              f"{statistics.median(new) / statistics.median(base) - 1:+.1%}, "
+              f"change faster in {sum(map(float.__lt__, new, base))} of "
+              f"{rounds} rounds, {failed // rounds} failed operations a round")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -119,31 +141,17 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(PERFBENCH, tmp, dirs_exist_ok=True)
+        for side, checkout in zip(SIDES, (args.parent, args.change)):
+            shutil.copytree(Path(checkout, "src", "refinelab"),
+                            Path(tmp, f"refinelab_{side}"))
         sys.path.insert(0, tmp)
-        pkgs = {side: load(path, f"refinelab_{side}", Path(tmp))
-                for side, path in zip(SIDES, (args.parent, args.change))}
-        times = {group: {side: [] for side in SIDES}
-                 for group in ("cascade", "scan")}
-        for r in range(args.rounds):
-            seen = {}
-            for side in SIDES if r % 2 == 0 else SIDES[::-1]:
-                c_s, digests = cascades(pkgs[side])
-                s_s, results = scans(pkgs[side])
-                times["cascade"][side].append(c_s)
-                times["scan"][side].append(s_s)
-                seen[side] = (digests, results)
-            if seen["parent"] != seen["change"]:
-                print(f"round {r + 1}: the sides' traces or scan results differ")
-                return 1
-            print(f"round {r + 1}: cascade "
-                  f"{times['cascade']['parent'][-1]:.3f} / "
-                  f"{times['cascade']['change'][-1]:.3f} s, scan "
-                  f"{times['scan']['parent'][-1]:.3f} / "
-                  f"{times['scan']['change'][-1]:.3f} s (parent / change)",
-                  flush=True)
-    for group in ("cascade", "scan"):
-        print(summary(group, times[group]))
-    return 0
+        try:
+            return ab({side: load(side, Path(tmp)) for side in SIDES}, args.rounds)
+        finally:
+            sys.path.remove(tmp)
+            for key in [k for k in sys.modules if k.startswith("refinelab_")]:
+                del sys.modules[key]
 
 
 if __name__ == "__main__":
