@@ -42,6 +42,21 @@ def _wedge(deg):
     ))
 
 
+def _stacked(*ys):
+    """Segments from (0, y0) to (1, y1), one per pair, enclosed.  The
+    engines count a vertex in a subsegment's diametral circle as
+    encroaching it even when another subsegment lies between them, as
+    ``geom.encroaches`` does.  Encroachment read from the mesh around the
+    point, as Triangle does, stops at the subsegment in between: on these
+    inputs it changes the chew2 traces of ``stacked`` and the ruppert
+    traces of ``stacked-tilt``, while every other family's trace holds."""
+    vertices, segments = [], []
+    for y0, y1 in ys:
+        segments.append(Segment(len(vertices), len(vertices) + 1))
+        vertices += [Point(0.0, y0), Point(1.0, y1)]
+    return generators.enclose(Pslg(tuple(vertices), tuple(segments)))
+
+
 FAMILIES = {
     "pav(0)": lambda: generators.pav(0.0),
     "pav(1e-3)": lambda: generators.pav(1e-3),
@@ -51,6 +66,8 @@ FAMILIES = {
     "example2": lambda: generators.example2(),
     "example2-opt(1e-3)": lambda: generators.example2_optimized(1e-3),
     "wedge(20)": lambda: _wedge(20),
+    "stacked": lambda: _stacked((0.0, 0.0), (0.25, 0.25), (0.5, 0.5)),
+    "stacked-tilt": lambda: _stacked((0.0, 0.0), (0.25, 0.375), (0.625, 0.5)),
 }
 
 ENGINES = {"ruppert": ruppert, "chew2": chew2}
@@ -237,6 +254,46 @@ GOLDEN = {
         "120f1bcc2ec02ecb6173718ad8323b26ad09c68a73bc10483be9cb8c244e6f60",
     ("wedge(20)", "chew2", 34, False):
         "120f1bcc2ec02ecb6173718ad8323b26ad09c68a73bc10483be9cb8c244e6f60",
+    ("stacked", "ruppert", 20, False):
+        "bad21681375df20060307b69c7bbd916ec269f9c3419b37d4e6391bfe6587fda",
+    ("stacked", "ruppert", 25, False):
+        "31169f3c626de545994ce6e689a6f94da517f2b850b48b77d63f23def19cd465",
+    ("stacked", "ruppert", 29, False):
+        "03c20b592ecd96524d022bb43281ecac0d52b4441e08d686499f36f2cb12564b",
+    ("stacked", "ruppert", 31, False):
+        "bb3f461687965e0d491162f357153f4dfea25fe388e9b173e1c88703b4cb528c",
+    ("stacked", "ruppert", 34, False):
+        "55353cd3fb59882f0da6c90635177315938c9bc3e54b9e5d7b1cb7a2a4264627",
+    ("stacked", "chew2", 20, False):
+        "fbc19650eebc6d839c7362503244b119d4a6ef7dbd68c8721fd2f1cc87ba8fab",
+    ("stacked", "chew2", 25, False):
+        "218c967744c54c1e8580970641fc7117846695b9640331db3505b23dff6dd687",
+    ("stacked", "chew2", 29, False):
+        "1e307430acf0a84db7f05ded7497223a2f303d1ec2fde64fb44788ff4f3c1813",
+    ("stacked", "chew2", 31, False):
+        "1ec7cd18857d640a76e2119a2605bfb5d97b5d56059f4204e063bffea5428c5f",
+    ("stacked", "chew2", 34, False):
+        "543b83f1020b489ba5783413e5b53aa97a97dcd8558e2b7ffcc1e4997bfa24e9",
+    ("stacked-tilt", "ruppert", 20, False):
+        "2963a7615c80825fc777d918d01c599128d73b7843c67faa35e599096070fcb4",
+    ("stacked-tilt", "ruppert", 25, False):
+        "cee9b0fb6912f17df968a8ae8f1b89f6e3cf6f9ee0257619a8385902bc3b7449",
+    ("stacked-tilt", "ruppert", 29, False):
+        "fe2badd5c42a85975d14c54901ccd85e35ebc596a06a8550b1a13fe8ae2a9861",
+    ("stacked-tilt", "ruppert", 31, False):
+        "8664d62348f2d0a0f48a8b9ee428216655bfa13db2dd4bd040717b85a11282b6",
+    ("stacked-tilt", "ruppert", 34, False):
+        "50a298fa4cee3e55abb11a07347d20dc86059776d2e584956c94f9c1e3934501",
+    ("stacked-tilt", "chew2", 20, False):
+        "17f5f866b291df6f24583f75e7526a51ac698ae2618cdc1b14a463dc702aa262",
+    ("stacked-tilt", "chew2", 25, False):
+        "c6ee41eee6657ffc8a764c29e554acadab39a358dac4ac302256ae3b3beb300f",
+    ("stacked-tilt", "chew2", 29, False):
+        "fe684751efebb365ce62aac4ef884074adc91a680c9a18e30cc799af125567d2",
+    ("stacked-tilt", "chew2", 31, False):
+        "63c384c7c46dde2fe1db05bae1fd056298bf1fa5ddb1e9fdfcabd56297daccd1",
+    ("stacked-tilt", "chew2", 34, False):
+        "cee57ee1aeaaba7db4ca417ea32d05b7268f85cb509589f902b14a950fa68f05",
 }
 
 
