@@ -14,12 +14,15 @@ from .pslg import Pslg, Segment, min_input_angle_deg, parse_poly, validate, writ
 from .cdt import Triangulation
 from .generators import (
     ExampleConfig,
+    OptimumSolution,
     build_example,
     enclose,
     example2,
     example2_optimized,
     pav,
     pinwheel,
+    residuals,
+    solve_optimum,
 )
 from .refine import (
     RefinementConfig,
@@ -29,14 +32,7 @@ from .refine import (
     chew2,
     ruppert,
 )
-from .analysis import (
-    DivergenceVerdict,
-    OptimumSolution,
-    classify,
-    residuals,
-    solve_optimum,
-    threshold_scan,
-)
+from .analysis import DivergenceVerdict, classify, threshold_scan
 
 __all__ = [
     "Point",

@@ -946,8 +946,8 @@ class Triangulation:
         boundary loops, and its pinches, read from the neighbour slots,
         which must match the triangles.  A boundary edge u -> v, directed
         as in its triangle, is followed by the first boundary edge from v
-        turning around v through the triangles from that one, so each loop
-        keeps the mesh on its left.  The turn ends: it never re-enters its
+        turning around v (``_fan``) through the triangles from that one, so
+        each loop keeps the mesh on its left.  The turn ends: it never re-enters its
         start triangle, whose edge ending at v has no neighbour, and it
         enters each triangle only across that triangle's one edge ending
         at v, from the one owner of the reversed edge, so it cannot cycle.
@@ -971,15 +971,11 @@ class Triangulation:
                     piece[root(tid)] = root(n)
                     continue
                 u, v = verts[i], verts[i - 2]
-                t = tid
-                while True:  # turn around v to a boundary edge
-                    a, b, c = tris[t]
-                    k = 0 if v == a else 1 if v == b else 2
-                    n = nbr[3 * t + k]  # across the edge that starts at v
-                    if n < 0:
-                        break
-                    t = n
-                follow[u, v] = (v, tris[t][k - 2])
+                # tid's edge ending at v is this boundary edge, so the fan
+                # runs clockwise only and ends at the next boundary edge
+                *_, t = self._fan(v, tid)
+                w = tris[t]
+                follow[u, v] = (v, w[w.index(v) - 2])
         loops = 0
         seen = set()
         for edge in follow:

@@ -167,7 +167,7 @@ def _cmd_generate(args) -> int:
         a=args.a, enclosure_scale=args.scale,
     )
     if family == generators.EXAMPLE2_OPT:
-        opt = analysis.solve_optimum()
+        opt = generators.solve_optimum()
         print(
             f"solved balance point: theta = {opt.theta_deg:.4f} deg, "
             f"a = {opt.a:.6f}, alpha = {opt.alpha1_deg:.4f} deg"
@@ -244,8 +244,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    opt = (analysis.solve_optimum(tuple(args.guess)) if args.guess
-           else analysis.solve_optimum())
+    opt = (generators.solve_optimum(tuple(args.guess)) if args.guess
+           else generators.solve_optimum())
     doc = asdict(opt)
     if args.out:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (EngineError, TriangulationError, analysis.ConvergenceError,
+    except (EngineError, TriangulationError, generators.ConvergenceError,
             analysis.ScanError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 3

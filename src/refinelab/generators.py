@@ -20,6 +20,15 @@ Perturbation conventions (``delta`` is dimensionless):
   boundary encroachments inside the circle.  They are strict once
   ``delta`` clears the same band: ``example2(delta=1e-12)`` still
   terminates at 30 and 31 deg, ``delta=1e-9`` diverges.
+
+The balance system behind ``example2_optimized`` lives here too.  Its four
+equations tie together the spiral configuration's shape parameters
+(theta, a) and the two designed skinny angles (alpha1, alpha2): one
+equation keeps the wide-wedge circumcenter exactly on the longer
+segment's diametral circle, two express the designed angles in terms of
+(theta, a), and the last balances the angles.  Solving it
+(``solve_optimum``) from the unbalanced starting point yields the
+configuration whose worst designed angle is as small as possible.
 """
 
 from __future__ import annotations
@@ -43,6 +52,11 @@ __all__ = [
     "enclose",
     "build_example",
     "predicted_skinny_angle_deg",
+    "OptimumSolution",
+    "ConvergenceError",
+    "residuals",
+    "jacobian",
+    "solve_optimum",
 ]
 
 PAV = "PAV"
@@ -250,11 +264,148 @@ def example2(theta_deg: float = ExampleConfig.theta_deg, a: float = ExampleConfi
 def example2_optimized(
         delta: float = ExampleConfig.delta,
         enclosure_scale: float = ExampleConfig.enclosure_scale) -> Pslg:
-    """example2 at the balanced parameters found by the equation solver."""
-    from .analysis import solve_optimum
-
+    """example2 at the balanced parameters found by ``solve_optimum``."""
     opt = solve_optimum()
     return example2(opt.theta_deg, opt.a, delta, enclosure_scale)
+
+
+_SOLVE_TOL = 1e-13  # solve_optimum's target residual 2-norm
+
+
+class ConvergenceError(RuntimeError):
+    def __init__(self, message: str, residual_norm: float):
+        super().__init__(message)
+        self.residual_norm = residual_norm
+
+
+@dataclass(frozen=True)
+class OptimumSolution:
+    theta_deg: float
+    a: float
+    alpha1_deg: float
+    alpha2_deg: float
+    residual_norm: float
+    iterations: int
+
+
+def _check_domain(theta: float, a: float, alpha1: float, alpha2: float) -> None:
+    if not 0.0 < theta < math.pi / 2:
+        raise ValueError("theta must lie in (0, pi/2)")
+    if a <= 0.0:
+        raise ValueError("a must be positive")
+    if not (0.0 < alpha1 < math.pi / 2 and 0.0 < alpha2 < math.pi / 2):
+        raise ValueError("alpha1 and alpha2 must lie in (0, pi/2)")
+
+
+def residuals(theta: float, a: float, alpha1: float, alpha2: float
+              ) -> tuple[float, float, float, float]:
+    """The four balance equations, angles in radians."""
+    _check_domain(theta, a, alpha1, alpha2)
+    q = math.sqrt(4.0 * a * a + 1.0 - 4.0 * a * math.cos(theta))
+    r1 = math.sin(theta) - math.cos(theta) - a / _SQRT2
+    r2 = math.cos(theta) - 2.0 * a + math.cos(alpha1) * q
+    r3 = math.sin(theta) - math.tan(alpha2) * (math.cos(theta) + _SQRT2 / a)
+    r4 = alpha1 - alpha2
+    return (r1, r2, r3, r4)
+
+
+def jacobian(theta: float, a: float, alpha1: float, alpha2: float
+             ) -> list[list[float]]:
+    """Analytic Jacobian of :func:`residuals` wrt (theta, a, alpha1, alpha2)."""
+    _check_domain(theta, a, alpha1, alpha2)
+    st, ct = math.sin(theta), math.cos(theta)
+    q = math.sqrt(4.0 * a * a + 1.0 - 4.0 * a * ct)
+    dq_dtheta = 2.0 * a * st / q
+    dq_da = (4.0 * a - 2.0 * ct) / q
+    sec2 = 1.0 / math.cos(alpha2) ** 2
+    return [
+        [ct + st, -1.0 / _SQRT2, 0.0, 0.0],
+        [-st + math.cos(alpha1) * dq_dtheta,
+         -2.0 + math.cos(alpha1) * dq_da,
+         -math.sin(alpha1) * q,
+         0.0],
+        [ct + math.tan(alpha2) * st,
+         math.tan(alpha2) * _SQRT2 / (a * a),
+         0.0,
+         -sec2 * (ct + _SQRT2 / a)],
+        [0.0, 0.0, 1.0, -1.0],
+    ]
+
+
+def _solve4(m: list[list[float]], rhs: list[float]) -> list[float]:
+    """Gaussian elimination with partial pivoting on a 4x4 system."""
+    n = 4
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if abs(aug[piv][col]) == 0.0:
+            raise ConvergenceError("singular Jacobian", float("nan"))
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1.0 / aug[col][col]
+        for r in range(n):
+            if r == col:
+                continue
+            f = aug[r][col] * inv
+            if f:
+                for c in range(col, n + 1):
+                    aug[r][c] -= f * aug[col][c]
+    return [aug[i][4] / aug[i][i] for i in range(n)]
+
+
+def _norm2(v) -> float:
+    return math.sqrt(sum(x * x for x in v))
+
+
+def solve_optimum(
+    guess_deg: tuple[float, float, float, float] = (75.0, 1.0, 29.0, 30.0),
+    max_iter: int = 100,
+) -> OptimumSolution:
+    """Damped Newton iteration on the balance system.
+
+    The guess is (theta in degrees, a, alpha1 in degrees, alpha2 in
+    degrees); convergence means a residual 2-norm below ``_SOLVE_TOL``.
+    """
+    x = [
+        math.radians(guess_deg[0]),
+        guess_deg[1],
+        math.radians(guess_deg[2]),
+        math.radians(guess_deg[3]),
+    ]
+    r = list(residuals(*x))
+    rn = _norm2(r)
+    iterations = 0
+    while rn >= _SOLVE_TOL:
+        if iterations >= max_iter:
+            raise ConvergenceError(
+                f"no convergence in {max_iter} iterations (residual {rn:.3e})", rn
+            )
+        iterations += 1
+        step = _solve4(jacobian(*x), [-v for v in r])
+        lam = 1.0
+        for _ in range(30):
+            cand = [x[i] + lam * step[i] for i in range(4)]
+            try:
+                cr = list(residuals(*cand))
+            except ValueError:
+                lam *= 0.5
+                continue
+            crn = _norm2(cr)
+            if crn < rn:
+                x, r, rn = cand, cr, crn
+                break
+            lam *= 0.5
+        else:
+            raise ConvergenceError(
+                f"damping failed at residual norm {rn:.3e}", rn
+            )
+    return OptimumSolution(
+        theta_deg=math.degrees(x[0]),
+        a=x[1],
+        alpha1_deg=math.degrees(x[2]),
+        alpha2_deg=math.degrees(x[3]),
+        residual_norm=rn,
+        iterations=iterations,
+    )
 
 
 def build_example(cfg: ExampleConfig) -> Pslg:

@@ -12,7 +12,6 @@ from refinelab.analysis import (
     CascadeChecker,
     cascade_splits,
     classify,
-    solve_optimum,
     threshold_scan,
 )
 from refinelab.cdt import CIRCUMCENTER, Triangulation, TriangulationError, DuplicateVertexError
@@ -26,6 +25,7 @@ from refinelab.generators import (
     example2_optimized,
     pav,
     pinwheel,
+    solve_optimum,
 )
 from refinelab.pslg import Pslg, Segment
 from refinelab.refine import (

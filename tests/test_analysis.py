@@ -5,23 +5,20 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from refinelab import analysis
+from refinelab import analysis, generators
 from refinelab.analysis import (
     DIVERGING,
     INCONCLUSIVE,
     CascadeChecker,
-    ConvergenceError,
     DivergenceVerdict,
     ScanError,
     ScanProbe,
     cascade_splits,
     classify,
-    jacobian,
-    residuals,
-    solve_optimum,
     threshold_scan,
 )
 from refinelab.generators import (
+    ConvergenceError,
     EXAMPLE2,
     EXAMPLE2_OPT,
     ExampleConfig,
@@ -30,8 +27,11 @@ from refinelab.generators import (
     enclose,
     example2,
     example2_optimized,
+    jacobian,
     pav,
     pinwheel,
+    residuals,
+    solve_optimum,
 )
 from refinelab.geom import Point
 from refinelab.pslg import Pslg, Segment
@@ -143,10 +143,10 @@ class TestSolver:
 
         def recorded(*x):
             r = residuals(*x)
-            norms.append(analysis._norm2(r))
+            norms.append(generators._norm2(r))
             return r
 
-        monkeypatch.setattr(analysis, "residuals", recorded)
+        monkeypatch.setattr(generators, "residuals", recorded)
         opt = solve_optimum((70.0, 2.5, 20.0, 20.0))
         # each accepted point has a lower norm than the one before it, and
         # the first rejected trial of a step does not

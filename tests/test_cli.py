@@ -7,7 +7,7 @@ from dataclasses import asdict
 
 import pytest
 
-from refinelab import analysis, cli
+from refinelab import analysis, cli, generators
 from refinelab.cli import main, mesh_to_svg, write_ele, write_node
 from refinelab.cdt import Triangulation
 from refinelab.geom import Point
@@ -309,7 +309,7 @@ class TestSolve:
         assert doc["a"] == pytest.approx(0.985, abs=0.001)
         assert doc["alpha1_deg"] == pytest.approx(29.51, abs=0.01)
         assert doc["residual_norm"] < 1e-12
-        assert doc == asdict(analysis.solve_optimum())
+        assert doc == asdict(generators.solve_optimum())
 
     def test_explicit_guess(self, capsys):
         assert main(["solve", "--guess", "75", "1", "29", "30"]) == 0

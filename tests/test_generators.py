@@ -19,9 +19,9 @@ from refinelab.generators import (
     pav,
     pinwheel,
     predicted_skinny_angle_deg,
+    residuals,
 )
 from refinelab.pslg import Pslg, Segment, min_input_angle_deg, validate
-from refinelab.analysis import residuals
 
 SQRT2 = math.sqrt(2.0)
 

@@ -17,9 +17,9 @@ another do not.  Each checkout's package is copied under its own name
 ``workloads``, ``checks`` and ``inputs`` are imported, ``refinelab`` and
 ``refinelab.<mod>`` are aliased to that side's modules; the aliases and
 those three modules are dropped again before the other side is imported.
-The package names must differ: ``generators.example2_optimized`` imports
-``.analysis`` when it is called, inside the timed ``scan`` operation, so
-one shared name could send that import to the other side's code.
+The package names differ so that each side's modules stay apart: were
+both sides one package, an import that a module makes at call time could
+load the other side's code.
 
 Each side builds its operations at seed 1 and runs each warm-up operation
 once.  Then, one workload after the other, each round runs every
