@@ -947,10 +947,11 @@ class Triangulation:
         which must match the triangles.  A boundary edge u -> v, directed
         as in its triangle, is followed by the first boundary edge from v
         turning around v (``_fan``) through the triangles from that one, so
-        each loop keeps the mesh on its left.  The turn ends: it never re-enters its
-        start triangle, whose edge ending at v has no neighbour, and it
-        enters each triangle only across that triangle's one edge ending
-        at v, from the one owner of the reversed edge, so it cannot cycle.
+        each loop keeps the mesh on its left.  The turn ends: it never
+        re-enters its start triangle, whose edge ending at v has no
+        neighbour, and it enters each triangle only across that triangle's
+        one edge ending at v, from the one owner of the reversed edge, so it
+        cannot cycle.
         A vertex where k boundary edges start is a pinch k - 1 times.  For
         a planar mesh, V - E + T = 2 * pieces - loops - pinches: each piece
         is a disk with holes, and un-pinching a vertex into its k fans adds
